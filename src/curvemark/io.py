@@ -194,7 +194,7 @@ def persist_results(
                 record["config"] = config.to_dict()
             path = os.path.join(out_dir, "summary.json")
             with open(path, "w") as fh:
-                json.dump(record, fh, indent=2)
+                json.dump(record, fh, indent=2, allow_nan=False)
                 fh.write("\n")
             written.append(path)
         for j, (grid, dens) in (densities or {}).items():

@@ -8,18 +8,19 @@ of it is available for users who want precision inference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, PlanarCurve, Srvf, compute_srvf
+from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, compute_srvf
 from .reconstruct import (
+    CurveCache,
     LandmarkConfig,
     SpacingVector,
-    reconstruction_error_sq_values,
-    spacing_from_theta,
-    theta_is_valid,
+    _error_sq_sum,
+    _spacing_list,
+    _valid_spacings,
 )
 
 NEG_INF = float("-inf")
@@ -70,11 +71,13 @@ class ModelSpec:
 
 @dataclass
 class CurveSample:
-    """Preprocessed curves with cached SRVFs on a shared grid."""
+    """Preprocessed curves with cached SRVFs on a shared grid, plus the
+    per-curve buffers the likelihood reads (:class:`CurveCache`)."""
 
     curves: list
     srvfs: list
     grid: EvaluationGrid
+    caches: list
 
     @classmethod
     def build(cls, curves, grid: EvaluationGrid) -> "CurveSample":
@@ -84,21 +87,34 @@ class CurveSample:
         for c in curves:
             if c.topology != grid.topology:
                 raise CurveError("all curves must share the grid topology")
-        return cls(curves, [compute_srvf(c, grid) for c in curves], grid)
+        srvfs = [compute_srvf(c, grid) for c in curves]
+        caches = [CurveCache(c, q.values) for c, q in zip(curves, srvfs)]
+        return cls(curves, srvfs, grid, caches)
 
     @property
     def m(self) -> int:
         return len(self.curves)
 
 
+def _floats(theta) -> list:
+    return theta.tolist() if isinstance(theta, np.ndarray) else [float(v) for v in theta]
+
+
+def _log_dirichlet(s: list, alpha: float) -> float:
+    p = len(s)
+    return (
+        math.lgamma(p * alpha)
+        - p * math.lgamma(alpha)
+        + (alpha - 1.0) * sum(map(math.log, s))
+    )
+
+
 def log_prior_spacing(s, spec: ModelSpec) -> float:
     """Log density of the symmetric Dirichlet at a spacing vector."""
-    arr = s.s if isinstance(s, SpacingVector) else np.asarray(s, dtype=float)
-    if np.any(arr <= 0.0):
+    vals = np.asarray(s.s if isinstance(s, SpacingVector) else s, dtype=float).ravel().tolist()
+    if any(not v > 0.0 for v in vals):
         return NEG_INF
-    p = arr.size
-    a = spec.alpha
-    return float(gammaln(p * a) - p * gammaln(a) + (a - 1.0) * np.log(arr).sum())
+    return _log_dirichlet(vals, spec.alpha)
 
 
 def log_prior_k(k: int, spec: ModelSpec) -> float:
@@ -108,26 +124,25 @@ def log_prior_k(k: int, spec: ModelSpec) -> float:
     nu = k - k_min_for(spec.topology)
     if nu < 0 or k > spec.k_max:
         return NEG_INF
-    return float(nu * np.log(spec.lam) - spec.lam - gammaln(nu + 1.0))
+    return nu * math.log(spec.lam) - spec.lam - math.lgamma(nu + 1.0)
 
 
-def total_reconstruction_error_sq(sample: CurveSample, theta: np.ndarray) -> float:
-    """Sum of squared reconstruction errors over the sample's curves."""
-    return sum(
-        reconstruction_error_sq_values(c, theta, sample.grid, q.values)
-        for c, q in zip(sample.curves, sample.srvfs)
-    )
+def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
+    """Sum of squared reconstruction errors over the sample's curves,
+    from each curve's cached prefix sums in O(k) (see
+    :class:`~curvemark.reconstruct.CurveCache`)."""
+    return _error_sq_sum(sample.caches, _floats(theta), sample.grid)
 
 
 def _log_marginal_from_error(total_sq: float, spec: ModelSpec, m: int) -> float:
     nm = spec.n_eval * m
     a, b = spec.a, spec.b
-    return float(
-        -nm * np.log(np.pi)
-        + gammaln(a + nm)
-        + a * np.log(b)
-        - gammaln(a)
-        - (a + nm) * np.log(b + total_sq)
+    return (
+        -nm * math.log(math.pi)
+        + math.lgamma(a + nm)
+        + a * math.log(b)
+        - math.lgamma(a)
+        - (a + nm) * math.log(b + total_sq)
     )
 
 
@@ -139,12 +154,10 @@ def log_marginal_likelihood(
     Configurations with any spacing below the grid-resolution guard are
     assigned -inf.
     """
-    s = spacing_from_theta(cfg.theta, cfg.topology)
-    if s.min() < spec.min_spacing:
+    th = cfg.theta.tolist()
+    if min(_spacing_list(th, cfg.topology)) < spec.min_spacing:
         return NEG_INF
-    return _log_marginal_from_error(
-        total_reconstruction_error_sq(sample, cfg.theta), spec, sample.m
-    )
+    return _log_marginal_from_error(total_reconstruction_error_sq(sample, th), spec, sample.m)
 
 
 def log_posterior(
@@ -170,20 +183,20 @@ def log_posterior_theta(
     samplers rely on to auto-reject.  ``include_likelihood=False`` gives the
     prior alone (validation mode).
     """
-    theta = np.asarray(theta, dtype=float)
-    if not theta_is_valid(theta, spec.topology):
+    th = _floats(theta)
+    s = _valid_spacings(th, spec.topology)
+    if s is None:
         return NEG_INF
-    s = spacing_from_theta(theta, spec.topology)
-    lp = log_prior_spacing(s, spec)
+    lp = _log_dirichlet(s, spec.alpha)
     if variable_k:
-        lp += log_prior_k(theta.size, spec)
+        lp += log_prior_k(len(th), spec)
     if lp == NEG_INF:
         return NEG_INF
     if include_likelihood:
-        if s.min() < spec.min_spacing:
+        if min(s) < spec.min_spacing:
             return NEG_INF
         lp += _log_marginal_from_error(
-            total_reconstruction_error_sq(sample, theta), spec, sample.m
+            total_reconstruction_error_sq(sample, th), spec, sample.m
         )
     return lp
 

@@ -9,11 +9,11 @@ carried in the acceptance ratio.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .curves import CLOSED
 from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
@@ -111,7 +111,8 @@ def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
         raise ValueError("ModelSpec.lam is required for variable-k inference")
     k_min = k_min_for(spec.topology)
     nus = np.arange(spec.k_max - k_min + 1)
-    logp = nus * np.log(spec.lam) - gammaln(nus + 1.0)
+    log_lam = math.log(spec.lam)
+    logp = np.array([nu * log_lam - math.lgamma(nu + 1.0) for nu in range(nus.size)])
     p = np.exp(logp - logp.max())
     k = k_min + int(rng.choice(nus, p=p / p.sum()))
     return draw_initial_theta(rng, spec, k)

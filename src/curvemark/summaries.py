@@ -23,7 +23,9 @@ def summarize(samples: PosteriorSampleSet) -> dict:
 
     Closed-curve samples are expected to be label-aligned first; their
     per-component location summaries are circular (values are unwrapped
-    around the circular mean before taking percentiles).
+    around the circular mean before taking percentiles).  ``accept_rate``
+    is None when the sample set does not know it (a table read back from
+    CSV).
     """
     if samples.n == 0:
         raise ValueError("empty sample set")
@@ -52,7 +54,7 @@ def summarize(samples: PosteriorSampleSet) -> dict:
         "ci_upper": hi,
         "map": [float(v) for v in samples.thetas[imax]],
         "map_log_post": float(samples.log_post[imax]),
-        "accept_rate": float(samples.accept_rate),
+        "accept_rate": None if np.isnan(samples.accept_rate) else float(samples.accept_rate),
         "n_samples": samples.n,
         "k": int(th.shape[1]),
     }
@@ -98,14 +100,19 @@ def distance_criterion(
 ) -> list[tuple[int, float]]:
     """Average cumulative squared reconstruction error per landmark count.
 
-    Runs the fixed-k sampler for each candidate k (seed offset by k so the
-    runs are independent) and averages the summed squared error over the
-    retained posterior samples.  The resulting curve is meant for elbow
-    inspection; no automatic elbow pick is attempted.
+    Runs the fixed-k sampler for each candidate k and averages the summed
+    squared error over the retained posterior samples.  Each run gets its
+    own child seed, spawned from ``rwm_cfg.seed`` by
+    ``np.random.SeedSequence``, so no two runs share a seed, whether they
+    differ in k or in the base seed.  The resulting curve is meant for
+    elbow inspection; no automatic elbow pick is attempted.
     """
+    k_values = list(k_values)
+    children = np.random.SeedSequence(rwm_cfg.seed).spawn(len(k_values))
     out = []
-    for k in k_values:
-        res = run_chain(sample, spec, replace(rwm_cfg, seed=rwm_cfg.seed + k), k=k)
+    for k, child in zip(k_values, children):
+        seed = int(child.generate_state(1)[0])
+        res = run_chain(sample, spec, replace(rwm_cfg, seed=seed), k=k)
         d = np.mean([total_reconstruction_error_sq(sample, th) for th in res.thetas])
         out.append((int(k), float(d)))
     return out

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+
+import curvemark as cm
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy's import cost would be
+    # paid by every CLI process
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, curvemark\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(' '.join(loaded))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

@@ -281,6 +281,25 @@ class TestCli:
         assert rc == 0
         assert os.path.exists(os.path.join(sum_out, "summary.json"))
 
+    def test_summarize_writes_strict_json(self, tmp_path):
+        rng = np.random.default_rng(3)
+        thetas = [np.sort(rng.uniform(0.05, 0.95, 3)) for _ in range(120)]
+        samples = cm.PosteriorSampleSet(
+            thetas, np.full(120, 3), rng.normal(size=120), 0.2, cm.OPEN
+        )
+        samples_path = str(tmp_path / "samples.csv")
+        write_samples_csv(samples_path, samples)
+        out = str(tmp_path / "sum")
+        assert main(["summarize", "--samples", samples_path, "--out-dir", out]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with open(os.path.join(out, "summary.json")) as fh:
+            record = json.load(fh, parse_constant=reject)
+        # the table does not store the acceptance rate
+        assert record["accept_rate"] is None
+
     def test_generate_family_writes_suffixed_files(self, tmp_path):
         out = str(tmp_path / "fam.csv")
         rc = main(["generate", "--name", "scaled-sine-family", "--n", "60", "--out", out])

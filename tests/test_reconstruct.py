@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import curvemark as cm
 import oracles
@@ -223,3 +225,88 @@ class TestReconstructionError:
                     cm.reconstruction_error_sq(curve, cm.LandmarkConfig(aug), grid)
                 )
             assert min(candidates) <= base + 1e-12
+
+
+# The prefix-sum engine reorders the arithmetic of the per-node pipeline
+# in tests/oracles.py; this bound was fixed before the sweep was run.
+def within_engine_tolerance(fast, oracle):
+    return abs(fast - oracle) <= 1e-12 * (1.0 + oracle)
+
+
+def sweep_curve(topology, n_points):
+    if topology == cm.OPEN:
+        return cm.rescale_unit_length(cm.sine_curve(200), n_points)
+    return cm.rescale_unit_length(cm.cut_half_circle(240, cut=0.3), n_points)
+
+
+def sweep_thetas(topology, n_eval, rng):
+    """Landmark vectors for one grid: random ones with k up to 11, knots
+    exactly on grid nodes, two knots inside one grid cell, and knots in
+    the end cells of the domain."""
+    cells = n_eval if topology == cm.CLOSED else n_eval - 1
+    k_min = 3 if topology == cm.CLOSED else 1
+    out = []
+    for k in range(k_min, 12):
+        out.append(rng.uniform(0.0, 1.0, k))
+        out.append(rng.choice(np.arange(1, cells), size=min(k, cells - 1), replace=False) / cells)
+        cell = int(rng.integers(1, cells - 1))
+        pair = (cell + np.sort(rng.uniform(0.05, 0.95, 2))) / cells
+        out.append(np.concatenate([pair, rng.uniform(0.0, 1.0, max(k - 2, 1))]))
+        ends = [rng.uniform(0.0, 1.0) / cells, 1.0 - rng.uniform(0.0, 1.0) / cells]
+        out.append(np.concatenate([ends, rng.uniform(0.0, 1.0, max(k - 2, 1))]))
+    # knots one double apart, which often share a grid position
+    for x in rng.uniform(0.1, 0.9, 20):
+        out.append(np.array([0.05, x, np.nextafter(x, 1.0), 0.95]))
+    # a knot on a grid node that rounds differently through (theta + 1) * N
+    out.append(np.array([0.16, 0.5, 0.8]))
+    if topology == cm.CLOSED:
+        out.append(np.array([0.0, 0.3, 1.0 - 0.5 / cells]))
+    valid = []
+    for th in out:
+        th = np.unique(th)
+        if cm.reconstruct.theta_is_valid(th, topology):
+            valid.append(th)
+    return valid
+
+
+class TestSegmentEngine:
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    @pytest.mark.parametrize("n_eval", [16, 25, 64, 200])
+    def test_matches_per_node_oracle(self, topology, n_eval):
+        rng = np.random.default_rng(n_eval)
+        curve = sweep_curve(topology, int(rng.integers(40, 300)))
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
+        thetas = sweep_thetas(topology, n_eval, rng)
+        assert len(thetas) > 30
+        for th in thetas:
+            fast = cm.total_reconstruction_error_sq(sample, th)
+            want = oracles.reconstruction_error_sq(curve.points, topology, th, n_eval)
+            assert within_engine_tolerance(fast, want), (th, fast, want)
+
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    def test_curves_with_different_resolutions(self, topology):
+        rng = np.random.default_rng(11)
+        curves = [sweep_curve(topology, 37), sweep_curve(topology, 250)]
+        curves[1] = cm.PlanarCurve(curves[1].points * [1.0, -0.5], topology)
+        sample = cm.CurveSample.build(curves, cm.EvaluationGrid(64, topology))
+        for th in sweep_thetas(topology, 64, rng):
+            fast = cm.total_reconstruction_error_sq(sample, th)
+            want = sum(
+                oracles.reconstruction_error_sq(c.points, topology, th, 64) for c in curves
+            )
+            assert within_engine_tolerance(fast, want), (th, fast, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([cm.OPEN, cm.CLOSED]),
+        st.sampled_from([16, 25, 64, 200]),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=11),
+    )
+    def test_matches_per_node_oracle_property(self, topology, n_eval, theta):
+        th = np.unique(theta)
+        assume(cm.reconstruct.theta_is_valid(th, topology))
+        curve = sweep_curve(topology, 90)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
+        fast = cm.total_reconstruction_error_sq(sample, th)
+        want = oracles.reconstruction_error_sq(curve.points, topology, th, n_eval)
+        assert within_engine_tolerance(fast, want)

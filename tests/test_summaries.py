@@ -136,6 +136,26 @@ class TestDistanceCriterion:
             assert ds[2] <= ds[1] * 1.2 + 1e-9
 
 
+    def test_base_seeds_do_not_share_run_seeds(self, monkeypatch, small_sample_25):
+        # base seed 0 at k=2 and base seed 1 at k=1 must not coincide, as
+        # they would with seeds of the form seed + k
+        seeds = {}
+
+        def fake_run_chain(sample, spec, cfg, k):
+            seeds[(base, k)] = cfg.seed
+            theta = np.arange(1, k + 1) / (k + 1.0)
+            return sample_set([theta])
+
+        monkeypatch.setattr(cm.summaries, "run_chain", fake_run_chain)
+        spec = cm.ModelSpec(n_eval=25)
+        for base in (0, 1):
+            cm.distance_criterion(
+                small_sample_25, spec, [1, 2, 3], cm.RwmConfig(seed=base)
+            )
+        assert seeds[(0, 2)] != seeds[(1, 1)]
+        assert len(set(seeds.values())) == len(seeds)
+
+
 class TestExtrinsicMean:
     def test_identical_curves(self):
         curve = cm.rescale_unit_length(cm.sine_curve(200), 100)
