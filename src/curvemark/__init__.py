@@ -35,10 +35,12 @@ from .model import (
     k_min_for,
     log_marginal_likelihood,
     log_posterior,
+    log_posterior_batch,
     log_prior_k,
     log_prior_spacing,
     sample_precision,
     total_reconstruction_error_sq,
+    total_reconstruction_error_sq_batch,
 )
 from .reconstruct import (
     LandmarkConfig,
@@ -89,6 +91,7 @@ __all__ = [
     "load_curves",
     "log_marginal_likelihood",
     "log_posterior",
+    "log_posterior_batch",
     "log_prior_k",
     "log_prior_spacing",
     "marginal_density",
@@ -112,4 +115,5 @@ __all__ = [
     "summarize",
     "theta_to_spacing",
     "total_reconstruction_error_sq",
+    "total_reconstruction_error_sq_batch",
 ]

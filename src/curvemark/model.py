@@ -15,9 +15,12 @@ import numpy as np
 
 from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, compute_srvf
 from .reconstruct import (
+    CacheStack,
     CurveCache,
     LandmarkConfig,
+    LandmarkError,
     SpacingVector,
+    _error_sq_rows,
     _error_sq_sum,
     _spacing_list,
     _valid_spacings,
@@ -72,12 +75,14 @@ class ModelSpec:
 @dataclass
 class CurveSample:
     """Preprocessed curves with cached SRVFs on a shared grid, plus the
-    per-curve buffers the likelihood reads (:class:`CurveCache`)."""
+    per-curve buffers the likelihood reads (:class:`CurveCache`) and the
+    same buffers stacked for batched evaluation (:class:`CacheStack`)."""
 
     curves: list
     srvfs: list
     grid: EvaluationGrid
     caches: list
+    stack: CacheStack
 
     @classmethod
     def build(cls, curves, grid: EvaluationGrid) -> "CurveSample":
@@ -89,7 +94,7 @@ class CurveSample:
                 raise CurveError("all curves must share the grid topology")
         srvfs = [compute_srvf(c, grid) for c in curves]
         caches = [CurveCache(c, q.values) for c, q in zip(curves, srvfs)]
-        return cls(curves, srvfs, grid, caches)
+        return cls(curves, srvfs, grid, caches, CacheStack(caches))
 
     @property
     def m(self) -> int:
@@ -134,16 +139,25 @@ def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
     return _error_sq_sum(sample.caches, _floats(theta), sample.grid)
 
 
-def _log_marginal_from_error(total_sq: float, spec: ModelSpec, m: int) -> float:
+def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarray:
+    """:func:`total_reconstruction_error_sq` of every landmark vector in
+    ``thetas`` (a (B, k) array, or a sequence of vectors of any lengths),
+    in one batched evaluation."""
+    th, ks = _stack_rows(thetas)
+    if not _row_spacings(th, ks, sample.grid.topology)[1].all():
+        raise LandmarkError("invalid landmark vector in the batch")
+    return _error_sq_rows(sample.stack, th, ks, sample.grid)
+
+
+def _log_marginal_const(spec: ModelSpec, m: int) -> float:
     nm = spec.n_eval * m
     a, b = spec.a, spec.b
-    return (
-        -nm * math.log(math.pi)
-        + math.lgamma(a + nm)
-        + a * math.log(b)
-        - math.lgamma(a)
-        - (a + nm) * math.log(b + total_sq)
-    )
+    return -nm * math.log(math.pi) + math.lgamma(a + nm) + a * math.log(b) - math.lgamma(a)
+
+
+def _log_marginal_from_error(total_sq: float, spec: ModelSpec, m: int) -> float:
+    shape = spec.a + spec.n_eval * m
+    return _log_marginal_const(spec, m) - shape * math.log(spec.b + total_sq)
 
 
 def log_marginal_likelihood(
@@ -199,6 +213,77 @@ def log_posterior_theta(
             total_reconstruction_error_sq(sample, th), spec, sample.m
         )
     return lp
+
+
+def _stack_rows(thetas):
+    """Landmark vectors as a (B, K) array, each row padded with its own
+    last value, and the vectors' lengths."""
+    if isinstance(thetas, np.ndarray) and thetas.ndim == 2:
+        th = thetas.astype(float, copy=False)
+        return th, np.full(th.shape[0], th.shape[1])
+    ks = np.array([len(t) for t in thetas])
+    if ks.min() < 1:
+        raise LandmarkError("empty landmark vector in the batch")
+    start = np.cumsum(ks) - ks
+    col = np.minimum(np.arange(ks.max()), ks[:, None] - 1)
+    return np.concatenate(thetas).astype(float, copy=False)[start[:, None] + col], ks
+
+
+def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
+    """Spacings of every padded row, as :func:`~curvemark.reconstruct._spacing_list`
+    computes them (1.0 in the padding), and which rows
+    :func:`~curvemark.reconstruct._valid_spacings` accepts."""
+    last = th[:, -1]
+    gaps = th[:, 1:] - th[:, :-1]
+    gaps[np.arange(1, th.shape[1]) >= ks[:, None]] = 1.0
+    if topology == OPEN:
+        s = np.concatenate([th[:, :1], gaps, (1.0 - last)[:, None]], axis=1)
+        valid = (th[:, 0] > 0.0) & (last < 1.0)
+    else:
+        s = np.concatenate([gaps, ((th[:, 0] - last) + 1.0)[:, None]], axis=1)
+        valid = (th[:, 0] >= 0.0) & (last < 1.0)
+    return s, valid & (ks >= k_min_for(topology)) & (s > 0.0).all(axis=1)
+
+
+def log_posterior_batch(
+    sample: CurveSample,
+    thetas,
+    spec: ModelSpec,
+    variable_k: bool = False,
+    include_likelihood: bool = True,
+) -> np.ndarray:
+    """:func:`log_posterior_theta` of every landmark vector in ``thetas``
+    (a (B, k) array, or a sequence of vectors of any lengths), in one
+    batched evaluation.
+
+    Vectors that :func:`log_posterior_theta` would reject (invalid ordering
+    or support, a spacing below the grid-resolution guard) get -inf; the
+    others agree with it to rounding, since only the order of the
+    summation differs.
+    """
+    th, ks = _stack_rows(thetas)
+    s, valid = _row_spacings(th, ks, spec.topology)
+    counts = ks.tolist()
+    # the Dirichlet normalizer of each landmark count in the batch
+    norm = {}
+    for k in set(ks[valid].tolist()):
+        p = k + 1 if spec.topology == OPEN else k
+        norm[k] = math.lgamma(p * spec.alpha) - p * math.lgamma(spec.alpha)
+    lp = np.array([norm.get(k, NEG_INF) for k in counts])
+    if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
+        lp += (spec.alpha - 1.0) * np.log(np.where(valid[:, None], s, 1.0)).sum(axis=1)
+    if variable_k:
+        prior = {k: log_prior_k(k, spec) for k in norm}
+        lp += np.array([prior.get(k, NEG_INF) for k in counts])
+    valid &= lp > NEG_INF
+    if include_likelihood:
+        valid &= s.min(axis=1) >= spec.min_spacing
+        keep = np.flatnonzero(valid)
+        if keep.size:
+            total = _error_sq_rows(sample.stack, th[keep], ks[keep], sample.grid)
+            shape = spec.a + spec.n_eval * sample.m
+            lp[keep] += _log_marginal_const(spec, sample.m) - shape * np.log(spec.b + total)
+    return np.where(valid, lp, NEG_INF)
 
 
 def sample_precision(

@@ -301,6 +301,157 @@ def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
     return total
 
 
+class CacheStack:
+    """A sample's :class:`CurveCache` buffers stacked as numpy arrays for
+    the batched engine (:func:`_error_sq_rows`): a leading axis of length 2
+    holds the x and y coordinates, the next one the M curves.
+
+    Polylines of different lengths are padded with their last point; each
+    curve's own cell count keeps the padding out of reach.
+    """
+
+    __slots__ = ("p", "cells", "last_cell", "q", "neg_r", "s2", "s1")
+
+    def __init__(self, caches: list):
+        width = max(len(c.px) for c in caches)
+
+        def padded(bufs):
+            return [buf.tolist() + [buf[-1]] * (width - len(buf)) for buf in bufs]
+
+        self.p = np.array([padded(c.px for c in caches), padded(c.py for c in caches)])
+        cells = np.array([len(c.px) - 1 for c in caches])[:, None, None]
+        # (M, 1, 1): broadcasts against (rows, knots)
+        self.cells = cells.astype(float)
+        self.last_cell = cells - 1
+        self.q = np.array([[c.qx for c in caches], [c.qy for c in caches]])
+        self.neg_r = -np.array([[c.rx for c in caches], [c.ry for c in caches]])[:, :, None, None]
+        self.s2 = np.array([c.s2 for c in caches])
+        self.s1 = np.array([[c.s1x for c in caches], [c.s1y for c in caches]])
+
+
+def _error_sq_rows(
+    stack: CacheStack, th: np.ndarray, ks: np.ndarray, grid: EvaluationGrid
+) -> np.ndarray:
+    """:func:`_error_sq_sum` of every row of a (B, K) array of valid
+    landmark rows, in one pass of numpy calls with the scalar engine's
+    arithmetic (only the order of the final sums differs).  Row r holds
+    ``ks[r]`` landmarks, padded to K with its last one.
+
+    Each row follows :func:`_knot_plan`, on a knot table whose columns from
+    the row's end knot (open) or wrap knot (closed) on repeat that knot, so
+    the segments past it are empty.  A knot's dirty candidates are its
+    floor and ceiling nodes; laid out knot by knot, a candidate is listed
+    only if it exceeds every earlier one (and the first knot's floor minus
+    one), which is the scalar engine's running cursor, and lies within the
+    last node.  Candidates not listed are computed and masked out.  Arrays
+    are (coordinate, curve, row, ...) where they carry both.
+    """
+    closed = grid.topology != OPEN
+    n = grid.n_eval
+    rows, width = th.shape
+    n_seg = ks if closed else ks + 1
+    table = np.empty((rows, width + (1 if closed else 2)))
+    # the row's last knot (end or wrap) and the padding after it
+    tail = np.arange(table.shape[1]) >= n_seg[:, None]
+    if closed:
+        table[:, :width] = th
+        taus = np.where(tail, th[:, :1] + 1.0, table)
+        us = np.where(tail, th[:, :1] * n + n, table * n)
+        fl, ce = np.floor(us), np.ceil(us)
+        # one grid position per knot: the wrap knot reuses the first's
+        fl = np.where(tail, fl[:, :1] + n, fl)
+        ce = np.where(tail, ce[:, :1] + n, ce)
+        last_node = fl[:, :1] + (n - 1)
+        inv_centred = 0.5 * n
+    else:
+        table[:, 0] = 0.0
+        table[:, 1:-1] = th
+        taus = np.where(tail, 1.0, table)
+        us = taus * (n - 1)
+        # the end knot stops the last segment's clean range after node n - 1
+        fl, ce = np.where(tail, float(n), np.floor(us)), np.ceil(us)
+        last_node = n - 1
+        inv_centred = 0.5 * (n - 1)
+
+    # knot images (2, M, B, knots), as in _curve_error_sq
+    curve = np.arange(stack.p.shape[1])[:, None, None]
+    pos = th * stack.cells
+    i = np.minimum(pos.astype(np.intp), stack.last_cell)
+    f = pos - i
+    p0 = stack.p[:, curve, i]
+    img = p0 + f * (stack.p[:, curve, i + 1] - p0)
+    xy = np.empty(img.shape[:3] + tail.shape[1:])
+    if closed:
+        xy[..., :width] = img
+        xy = np.where(tail, img[..., :1], xy)
+    else:
+        xy[..., 0] = stack.p[:, :, :1]
+        xy[..., 1:-1] = img
+        xy = np.where(tail, stack.p[:, :, -1:, None], xy)
+    # segment displacements, padded to the knots' layout for flat gathers
+    dxy = np.zeros_like(xy)
+    dxy[..., :-1] = xy[..., 1:] - xy[..., :-1]
+
+    # clean node ranges [lo, stop) per segment, from the prefix sums
+    lo = ce[:, :-1] + 1.0
+    stop = fl[:, 1:]
+    if not closed:
+        lo[:, 0] = 0.0
+    filled = lo < stop
+    n_clean = stop - lo
+    lo, stop = lo.astype(np.intp), stop.astype(np.intp)
+    span = taus[:, 1:] - taus[:, :-1]
+    v = dxy[..., :-1] * np.divide(1.0, span, out=np.zeros_like(span), where=filled)
+    speed = np.sqrt((v * v).sum(axis=0))
+    moving = speed >= ZERO_SPEED
+    e = np.where(moving, v / np.sqrt(np.where(moving, speed, 1.0)) + stack.neg_r, stack.neg_r)
+    s1 = np.take(stack.s1, stop, axis=-1) - np.take(stack.s1, lo, axis=-1)
+    part = (
+        np.take(stack.s2, stop, axis=-1) - np.take(stack.s2, lo, axis=-1)
+        - 2.0 * (e * s1).sum(axis=0)
+        + n_clean * (e * e).sum(axis=0)
+    )
+    total = np.where(filled & (part > 0.0), part, 0.0).sum(axis=-1)
+
+    # dirty nodes: the (floor, ceil) candidates of every knot in order;
+    # the end or wrap knot's lie past the last node
+    first = 0 if closed else 1
+    cand = np.empty((rows, 2 * (fl.shape[1] - first)))
+    cand[:, 0::2] = fl[:, first:]
+    cand[:, 1::2] = ce[:, first:]
+    seen = np.empty_like(cand)
+    seen[:, 0] = fl[:, 0] - 1.0
+    seen[:, 1:] = cand[:, :-1]
+    np.maximum.accumulate(seen, axis=1, out=seen)
+    listed = (cand > seen) & (cand <= last_node)
+    # stencil ends a = j - 1 and b = j + 1, stacked on a leading axis
+    ends = cand + np.array([-1.0, 1.0])[:, None, None]
+    if closed:
+        inv = inv_centred
+        ends[0] = np.where(ends[0] < us[:, :1], ends[0] + n, ends[0])
+    else:
+        # one-sided at the curve's end nodes: inv is then 2 * inv_centred
+        np.clip(ends, 0.0, n - 1.0, out=ends)
+        inv = np.divide(
+            2.0 * inv_centred, ends[1] - ends[0], out=np.zeros(cand.shape), where=listed
+        )
+    # the segment holding each end: bisect_right over the row's first
+    # n_seg knots
+    seg = np.minimum((us[:, None, :] <= ends[..., None]).sum(axis=-1), n_seg[:, None]) - 1
+    at = seg + (np.arange(rows) * us.shape[1])[:, None]
+    u0 = np.take(us, at)
+    w = np.divide(ends - u0, np.take(us, at + 1) - u0, out=np.zeros(at.shape), where=listed)
+    grid_xy = np.take(xy.reshape(xy.shape[:2] + (-1,)), at, axis=-1)
+    step = w * np.take(dxy.reshape(xy.shape[:2] + (-1,)), at, axis=-1)
+    v = (grid_xy[:, :, 1] + step[:, :, 1] - grid_xy[:, :, 0] - step[:, :, 0]) * inv
+    q = np.take(stack.q, cand.astype(np.intp) % n, axis=-1)
+    speed = np.sqrt((v * v).sum(axis=0))
+    moving = speed >= ZERO_SPEED
+    e = np.where(moving, q - v / np.sqrt(np.where(moving, speed, 1.0)), q)
+    total += np.where(listed, (e * e).sum(axis=0), 0.0).sum(axis=-1)
+    return total.sum(axis=0) * grid.dt
+
+
 def _error_sq_sum(caches: list, th: list, grid: EvaluationGrid) -> float:
     """Summed squared SRVF reconstruction error of the cached curves at the
     landmark list ``th``: O(k) per curve, independent of the grid size.

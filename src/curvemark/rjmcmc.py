@@ -9,6 +9,8 @@ carried in the acceptance ratio.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
-from .rwm import PosteriorSampleSet, draw_initial_theta, rwm_step
+from .model import (
+    CurveSample,
+    ModelSpec,
+    NEG_INF,
+    k_min_for,
+    log_posterior_batch,
+    log_posterior_theta,
+)
+from .rwm import PosteriorSampleSet, _decide, _propose_stay, _run_path, draw_initial_theta
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,21 @@ def move_probabilities(k: int, k_min: int, move_probs) -> tuple[float, float, fl
     return pb, pd, ps
 
 
+@functools.lru_cache(maxsize=256)
+def _jump_log_ratios(k: int, topology: str, move_probs: tuple) -> tuple[float, float]:
+    """Log proposal ratios of a birth from k and of a death from k (-inf
+    where no death is allowed)."""
+    k_min = k_min_for(topology)
+    pb = move_probabilities(k, k_min, move_probs)[0]
+    pd_next = move_probabilities(k + 1, k_min, move_probs)[1]
+    birth = float(np.log(pd_next) - np.log(k + 1.0) - np.log(pb))
+    if k <= k_min:
+        return birth, NEG_INF
+    pd = move_probabilities(k, k_min, move_probs)[1]
+    pb_prev = move_probabilities(k - 1, k_min, move_probs)[0]
+    return birth, float(np.log(pb_prev) + np.log(float(k)) - np.log(pd))
+
+
 def propose_birth(
     theta: np.ndarray,
     rng: np.random.Generator,
@@ -70,38 +94,31 @@ def propose_birth(
     anyway.  The guard is dropped in prior-only validation runs to keep the
     proposal density exactly uniform.
     """
-    k = theta.size
-    k_min = k_min_for(spec.topology)
-    u = rng.uniform()
+    th = theta.tolist()
+    u = rng.random()
     if guard:
+        closed = spec.topology == CLOSED
         for _ in range(100):
-            if spec.topology == CLOSED:
-                d = np.abs(theta - u)
-                gap = np.min(np.minimum(d, 1.0 - d))
-            else:
-                gap = np.min(np.abs(theta - u))
-            if gap >= spec.min_spacing:
+            gaps = [abs(t - u) for t in th]
+            if closed:
+                gaps = [min(d, 1.0 - d) for d in gaps]
+            if min(gaps) >= spec.min_spacing:
                 break
-            u = rng.uniform()
-    new = np.sort(np.append(theta, u))
-    pb = move_probabilities(k, k_min, move_probs)[0]
-    pd_next = move_probabilities(k + 1, k_min, move_probs)[1]
-    log_ratio = np.log(pd_next) - np.log(k + 1.0) - np.log(pb)
-    return new, float(log_ratio)
+            u = rng.random()
+    log_ratio = _jump_log_ratios(len(th), spec.topology, tuple(move_probs))[0]
+    bisect.insort(th, u)
+    return np.array(th), log_ratio
 
 
 def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
     """Remove a uniformly chosen landmark; reciprocal of the matched birth."""
     k = theta.size
-    k_min = k_min_for(spec.topology)
-    if k <= k_min:
+    log_ratio = _jump_log_ratios(k, spec.topology, tuple(move_probs))[1]
+    if log_ratio == NEG_INF:
         raise ValueError("death move proposed at the minimum landmark count")
-    i = int(rng.integers(k))
-    new = np.delete(theta, i)
-    pd = move_probabilities(k, k_min, move_probs)[1]
-    pb_prev = move_probabilities(k - 1, k_min, move_probs)[0]
-    log_ratio = np.log(pb_prev) + np.log(float(k)) - np.log(pd)
-    return new, float(log_ratio)
+    th = theta.tolist()
+    del th[int(rng.integers(k))]
+    return np.array(th), log_ratio
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
@@ -147,43 +164,32 @@ def run_rjmcmc(
     if logp == NEG_INF:
         raise RuntimeError("could not find an initial state with finite posterior")
 
-    burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
-    kept_theta: list[np.ndarray] = []
-    kept_logp: list[float] = []
-    accepted = 0
-    for t in range(cfg.n_iter):
-        pb, pd, _ = move_probabilities(theta.size, k_min, cfg.move_probs)
-        u = rng.uniform()
+    sd = math.sqrt(cfg.proposal_var)
+
+    def propose(th):
+        pb, pd, _ = move_probabilities(th.size, k_min, cfg.move_probs)
+        u = rng.random()
         if u < pb:
-            prop, log_ratio = propose_birth(
-                theta, rng, spec, cfg.move_probs, guard=not prior_only
-            )
-        elif u < pb + pd:
-            prop, log_ratio = propose_death(theta, rng, spec, cfg.move_probs)
-        else:
-            theta, logp, acc = rwm_step(
-                theta,
-                logp,
-                sample,
-                spec,
-                cfg.proposal_var,
-                rng,
-                variable_k=True,
-                prior_only=prior_only,
-            )
-            accepted += acc
-            if t >= burn_in and (t - burn_in) % cfg.thin == 0:
-                kept_theta.append(theta.copy())
-                kept_logp.append(logp)
-            continue
-        logp_new = logpost(prop)
-        a = rng.uniform()
-        if logp_new > NEG_INF and np.log(a) < (logp_new - logp) + log_ratio:
-            theta, logp = prop, logp_new
-            accepted += 1
-        if t >= burn_in and (t - burn_in) % cfg.thin == 0:
-            kept_theta.append(theta.copy())
-            kept_logp.append(logp)
+            return propose_birth(th, rng, spec, cfg.move_probs, guard=not prior_only)
+        if u < pb + pd:
+            return propose_death(th, rng, spec, cfg.move_probs)
+        return _propose_stay(th, rng, spec.topology, sd), 0.0
+
+    def step(th, lp):
+        prop, log_ratio = propose(th)
+        return _decide(th, lp, prop, logpost(prop), log_ratio, rng)
+
+    kept_theta, kept_logp, accepted = _run_path(
+        theta,
+        logp,
+        cfg,
+        rng,
+        step,
+        propose,
+        score=lambda rows: log_posterior_batch(
+            sample, rows, spec, variable_k=True, include_likelihood=not prior_only
+        ),
+    )
     rate = accepted / cfg.n_iter
     if accepted == 0:
         warnings.warn("chain accepted no proposals; check the proposal settings")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_theta
+from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_posterior_theta
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,26 @@ def draw_initial_theta(rng: np.random.Generator, spec: ModelSpec, k: int) -> np.
     return np.cumsum(s)[:-1]
 
 
+def _propose_stay(theta: np.ndarray, rng: np.random.Generator, topology: str, sd: float):
+    """Random-walk proposal of one uniformly chosen component; closed
+    curves wrap it mod 1 and re-sort."""
+    j = int(rng.integers(theta.size))
+    prop = theta.tolist()
+    prop[j] += rng.standard_normal() * sd
+    if topology == CLOSED:
+        prop[j] = float(np.mod(prop[j], 1.0))
+        prop.sort()
+    return np.array(prop)
+
+
+def _decide(theta, logp, prop, logp_new, log_ratio, rng):
+    """Metropolis-Hastings accept test; draws the test's uniform."""
+    u = rng.random()
+    if logp_new > NEG_INF and np.log(u) < (logp_new - logp) + log_ratio:
+        return prop, logp_new, True
+    return theta, logp, False
+
+
 def rwm_step(
     theta: np.ndarray,
     logp: float,
@@ -110,13 +131,7 @@ def rwm_step(
     break the ordering carry prior support 0 and are auto-rejected.
     Returns ``(theta, logp, accepted)``.
     """
-    j = int(rng.integers(theta.size))
-    eps = rng.normal(0.0, np.sqrt(proposal_var))
-    prop = theta.copy()
-    prop[j] += eps
-    if spec.topology == CLOSED:
-        prop[j] = np.mod(prop[j], 1.0)
-        prop = np.sort(prop)
+    prop = _propose_stay(theta, rng, spec.topology, math.sqrt(proposal_var))
     logp_new = log_posterior_theta(
         sample,
         prop,
@@ -124,10 +139,82 @@ def rwm_step(
         variable_k=variable_k,
         include_likelihood=not prior_only,
     )
-    u = rng.uniform()
-    if logp_new > NEG_INF and np.log(u) < logp_new - logp:
-        return prop, logp_new, True
-    return theta, logp, False
+    return _decide(theta, logp, prop, logp_new, 0.0, rng)
+
+
+# Blocks along the rejection path: a chain that has rejected at least
+# _RUN_FOR_BLOCKS proposals in a row, and has accepted at most
+# _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals
+# in blocks of min(_BLOCK_CAP, 2 * run, remaining iterations).  One batched
+# call costs about as much as eight scalar evaluations, so blocks pay only
+# where rejections come in long runs.
+_RUN_FOR_BLOCKS = 4
+_BLOCK_ACCEPT_RATE = 0.05
+_BLOCK_CAP = 128
+
+
+def _run_path(theta, logp, cfg, rng, step, propose, score):
+    """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
+    return its retained draws, their log posteriors and the accept count.
+
+    ``step(theta, logp) -> (theta, logp, accepted)`` is one iteration with
+    the scalar log posterior; ``propose(theta) -> (prop, log_ratio)`` makes
+    the same draws up to the accept test; ``score`` is the batched log
+    posterior of a list of proposals.
+
+    A rejected proposal leaves the state unchanged, so in rejection-heavy
+    stretches the next B iterations' draws are made up front as if every
+    proposal were rejected, the B proposals are scored in batched calls,
+    and the first row that passes the accept test is taken, with the bit
+    generator rewound to the state right after that row's draws.  The
+    chain is the one-at-a-time chain, draw for draw (Brockwell 2006,
+    pre-fetching along the rejection path).
+    """
+    burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
+    kept_theta: list[np.ndarray] = []
+    kept_logp: list[float] = []
+
+    def keep(t0, t1, theta, logp):
+        """Retain the state ending iterations t0 .. t1 - 1."""
+        first = burn_in if t0 <= burn_in else t0 + (burn_in - t0) % cfg.thin
+        for _ in range(first, t1, cfg.thin):
+            kept_theta.append(theta.copy())
+            kept_logp.append(logp)
+
+    bitgen = rng.bit_generator
+    accepted = run = t = 0
+    while t < cfg.n_iter:
+        if run < _RUN_FOR_BLOCKS or accepted > _BLOCK_ACCEPT_RATE * t:
+            theta, logp, acc = step(theta, logp)
+            accepted += acc
+            run = 0 if acc else run + 1
+            keep(t, t + 1, theta, logp)
+            t += 1
+            continue
+        size = min(_BLOCK_CAP, 2 * run, cfg.n_iter - t)
+        props, ratios, us, states = [], [], [], []
+        for _ in range(size):
+            prop, log_ratio = propose(theta)
+            props.append(prop)
+            ratios.append(log_ratio)
+            us.append(rng.random())
+            states.append(bitgen.state)
+        lps = score(props)
+        hits = np.flatnonzero((lps > NEG_INF) & (np.log(us) < (lps - logp) + ratios))
+        if hits.size == 0:
+            keep(t, t + size, theta, logp)
+            t += size
+            run += size
+            continue
+        i = int(hits[0])
+        keep(t, t + i, theta, logp)
+        theta, logp = props[i], float(lps[i])
+        bitgen.state = states[i]
+        keep(t + i, t + i + 1, theta, logp)
+        accepted += 1
+        run = 0
+        t += i + 1
+    return kept_theta, kept_logp, accepted
 
 
 def run_chain(
@@ -165,18 +252,20 @@ def run_chain(
     if logp == NEG_INF:
         raise RuntimeError("could not find an initial state with finite posterior")
 
-    burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
-    kept_theta: list[np.ndarray] = []
-    kept_logp: list[float] = []
-    accepted = 0
-    for t in range(cfg.n_iter):
-        theta, logp, acc = rwm_step(
-            theta, logp, sample, spec, cfg.proposal_var, rng, prior_only=prior_only
-        )
-        accepted += acc
-        if t >= burn_in and (t - burn_in) % cfg.thin == 0:
-            kept_theta.append(theta.copy())
-            kept_logp.append(logp)
+    sd = math.sqrt(cfg.proposal_var)
+    kept_theta, kept_logp, accepted = _run_path(
+        theta,
+        logp,
+        cfg,
+        rng,
+        step=lambda th, lp: rwm_step(
+            th, lp, sample, spec, cfg.proposal_var, rng, prior_only=prior_only
+        ),
+        propose=lambda th: (_propose_stay(th, rng, spec.topology, sd), 0.0),
+        score=lambda rows: log_posterior_batch(
+            sample, rows, spec, include_likelihood=not prior_only
+        ),
+    )
     rate = accepted / cfg.n_iter
     if accepted == 0:
         warnings.warn("chain accepted no proposals; check the proposal variance")

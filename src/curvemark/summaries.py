@@ -8,8 +8,11 @@ from dataclasses import replace
 import numpy as np
 
 from .curves import CLOSED, CurveError, PlanarCurve
-from .model import CurveSample, ModelSpec, total_reconstruction_error_sq
+from .model import CurveSample, ModelSpec, total_reconstruction_error_sq_batch
 from .rwm import PosteriorSampleSet, RwmConfig, run_chain
+
+
+_KDE_CHUNK = 1 << 20
 
 
 def _circular_mean(x: np.ndarray) -> float:
@@ -83,11 +86,12 @@ def marginal_density(samples: PosteriorSampleSet, component: int, n_grid: int = 
         data = np.concatenate([-x, x, 2.0 - x])
     grid = np.linspace(0.0, 1.0, n_grid)
     dens = np.empty(n_grid)
-    pos = 0
-    for chunk in np.array_split(grid, max(1, n_grid // 64)):
-        z = (chunk[:, None] - data[None, :]) / bw
-        dens[pos : pos + chunk.size] = np.exp(-0.5 * z * z).sum(axis=1)
-        pos += chunk.size
+    # at most 64 grid rows per chunk, fewer where each temporary would
+    # otherwise hold more than 2^20 values
+    rows = min(64, max(1, _KDE_CHUNK // data.size))
+    for lo in range(0, n_grid, rows):
+        z = (grid[lo : lo + rows, None] - data[None, :]) / bw
+        dens[lo : lo + rows] = np.exp(-0.5 * z * z).sum(axis=1)
     dens /= n * bw * np.sqrt(2.0 * np.pi)
     return grid, dens
 
@@ -113,7 +117,7 @@ def distance_criterion(
     for k, child in zip(k_values, children):
         seed = int(child.generate_state(1)[0])
         res = run_chain(sample, spec, replace(rwm_cfg, seed=seed), k=k)
-        d = np.mean([total_reconstruction_error_sq(sample, th) for th in res.thetas])
+        d = np.mean(total_reconstruction_error_sq_batch(sample, res.theta_matrix()))
         out.append((int(k), float(d)))
     return out
 

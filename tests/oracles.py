@@ -179,3 +179,95 @@ def three_segment_polyline(n=60):
         segs.append(p + w * (q - p))
     pts = np.vstack(segs + [d[None, :]])
     return pts
+
+
+def one_at_a_time_chain(sample, spec, cfg, k=None, variable_k=False, prior_only=False):
+    """Reference chain that scores every proposal on its own with the
+    scalar log posterior: the random-walk Metropolis chain (fixed k) or
+    the birth-death-stay chain (``variable_k``), drawing from the bit
+    generator in the samplers' order.  Returns (thetas, ks, log_post,
+    accept_rate) of the retained draws."""
+    from curvemark.model import log_posterior_theta
+    from curvemark.rjmcmc import draw_initial_state
+    from curvemark.rwm import draw_initial_theta
+
+    closed = spec.topology == "closed"
+    k_min = 3 if closed else 1
+    rng = np.random.default_rng(cfg.seed)
+
+    def logpost(th):
+        return log_posterior_theta(
+            sample, th, spec, variable_k=variable_k, include_likelihood=not prior_only
+        )
+
+    for _ in range(100):
+        theta = draw_initial_state(rng, spec) if variable_k else draw_initial_theta(rng, spec, k)
+        logp = logpost(theta)
+        if logp > -np.inf:
+            break
+
+    def probs(kk):
+        pb, pd, ps = cfg.move_probs
+        return (pb + pd, 0.0) if kk <= k_min else (pb, pd)
+
+    burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
+    thetas, log_post, accepted = [], [], 0
+    for t in range(cfg.n_iter):
+        kk = theta.size
+        log_ratio = 0.0
+        move = "stay"
+        if variable_k:
+            pb, pd = probs(kk)
+            u = rng.uniform()
+            move = "birth" if u < pb else "death" if u < pb + pd else "stay"
+        if move == "birth":
+            v = rng.uniform()
+            while not prior_only:
+                d = np.abs(theta - v)
+                if closed:
+                    d = np.minimum(d, 1.0 - d)
+                if np.min(d) >= spec.min_spacing:
+                    break
+                v = rng.uniform()
+            prop = np.sort(np.append(theta, v))
+            log_ratio = np.log(probs(kk + 1)[1]) - np.log(kk + 1.0) - np.log(probs(kk)[0])
+        elif move == "death":
+            prop = np.delete(theta, int(rng.integers(kk)))
+            log_ratio = np.log(probs(kk - 1)[0]) + np.log(float(kk)) - np.log(probs(kk)[1])
+        else:
+            j = int(rng.integers(kk))
+            prop = theta.copy()
+            prop[j] += rng.normal(0.0, np.sqrt(cfg.proposal_var))
+            if closed:
+                prop[j] = np.mod(prop[j], 1.0)
+                prop = np.sort(prop)
+        logp_new = logpost(prop)
+        a = rng.uniform()
+        if logp_new > -np.inf and np.log(a) < (logp_new - logp) + log_ratio:
+            theta, logp = prop, logp_new
+            accepted += 1
+        if t >= burn_in and (t - burn_in) % cfg.thin == 0:
+            thetas.append(theta.copy())
+            log_post.append(logp)
+    ks = np.array([th.size for th in thetas])
+    return thetas, ks, np.array(log_post), accepted / cfg.n_iter
+
+
+def best_start_offset(q, q_ref):
+    """Exhaustive start-offset search: the squared SRVF distance of every
+    cyclic shift summed directly; ties go to the lowest offset."""
+    costs = [float(np.sum((np.roll(q, -m, axis=0) - q_ref) ** 2)) for m in range(len(q))]
+    return int(np.argmin(costs))
+
+
+def kde_direct(x, bw, topology, n_grid=512):
+    """Reflected (open) or wrapped (closed) Gaussian KDE on [0, 1] from
+    one full grid-by-data matrix."""
+    x = np.asarray(x, dtype=float)
+    if topology == "closed":
+        data = np.concatenate([x - 1.0, x, x + 1.0])
+    else:
+        data = np.concatenate([-x, x, 2.0 - x])
+    grid = np.linspace(0.0, 1.0, n_grid)
+    z = (grid[:, None] - data[None, :]) / bw
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bw * np.sqrt(2.0 * np.pi))

@@ -47,6 +47,47 @@ class TestSelectReferencePoint:
         assert min(gap, 1.0 - gap) < 0.03
 
 
+def regular_polygon(p, ts):
+    """Points of a regular p-gon with vertices on the unit circle, at
+    arc-length parameters ``ts`` (mod 1)."""
+    ang = 2.0 * np.pi * np.arange(p) / p
+    verts = np.column_stack([np.cos(ang), np.sin(ang)])
+    pos = np.mod(ts, 1.0) * p
+    i = np.floor(pos).astype(int) % p
+    f = (pos - np.floor(pos))[:, None]
+    return cm.PlanarCurve(verts[i] + f * (verts[(i + 1) % p] - verts[i]), cm.CLOSED)
+
+
+class TestBestStartOffset:
+    @pytest.mark.parametrize("n_eval", [64, 200, 1000])
+    def test_matches_direct_search_on_cut_half_circles(self, n_eval):
+        curves = [cm.rescale_unit_length(cm.half_circle(400), 400)] + [
+            cm.rescale_unit_length(cm.cut_half_circle(400, cut=c), 400)
+            for c in (0.2, 0.3, 0.4, 0.5)
+        ]
+        sample = cm.CurveSample.build(curves, cm.EvaluationGrid(n_eval, cm.CLOSED))
+        for q_ref in sample.srvfs:
+            for q in sample.srvfs:
+                want = oracles.best_start_offset(q.values, q_ref.values)
+                assert cm.alignment.best_start_offset(q.values, q_ref.values) == want
+
+    @pytest.mark.parametrize("p, n_eval", [(4, 64), (5, 100), (6, 60)])
+    def test_matches_direct_search_on_tied_offsets(self, p, n_eval):
+        # a polygon sampled half a node off its reference: by mirror
+        # symmetry two offsets tie up to rounding
+        grid = cm.EvaluationGrid(n_eval, cm.CLOSED)
+        t = np.arange(n_eval) / n_eval
+        q_ref = cm.compute_srvf(regular_polygon(p, t), grid).values
+        for shift in (0.5, 7.5, 20.5):
+            q = cm.compute_srvf(regular_polygon(p, t + shift / n_eval), grid).values
+            costs = np.sort(
+                [np.sum((np.roll(q, -m, axis=0) - q_ref) ** 2) for m in range(n_eval)]
+            )
+            assert costs[1] - costs[0] < 1e-12 * costs[0]
+            want = oracles.best_start_offset(q, q_ref)
+            assert cm.alignment.best_start_offset(q, q_ref) == want
+
+
 class TestAlignSampleStarts:
     def test_identical_curves_with_random_offsets(self, rng):
         base = wobbly_outline(rng)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import curvemark as cm
 import oracles
+from curvemark.model import log_posterior_theta
 
 
 def straight_line(n=64):
@@ -310,3 +311,81 @@ class TestSegmentEngine:
         fast = cm.total_reconstruction_error_sq(sample, th)
         want = oracles.reconstruction_error_sq(curve.points, topology, th, n_eval)
         assert within_engine_tolerance(fast, want)
+
+
+class TestBatchedEngine:
+    """The batched engine against the same per-node oracle, with every
+    sweep case of one grid in a single batch."""
+
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    @pytest.mark.parametrize("n_eval", [16, 25, 64, 200])
+    def test_rows_match_per_node_oracle(self, topology, n_eval):
+        rng = np.random.default_rng(n_eval)
+        curve = sweep_curve(topology, int(rng.integers(40, 300)))
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
+        thetas = sweep_thetas(topology, n_eval, rng)
+        by_k = {}
+        for th in thetas:
+            by_k.setdefault(th.size, []).append(th)
+        # one ragged batch of every k, then one (B, k) array per k
+        batches = [thetas] + [np.array(rows) for rows in by_k.values()]
+        for batch in batches:
+            fast = cm.total_reconstruction_error_sq_batch(sample, batch)
+            assert fast.shape == (len(batch),)
+            for th, got in zip(batch, fast):
+                want = oracles.reconstruction_error_sq(curve.points, topology, th, n_eval)
+                assert within_engine_tolerance(got, want), (th, got, want)
+
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    def test_curves_with_different_resolutions(self, topology):
+        rng = np.random.default_rng(11)
+        curves = [sweep_curve(topology, 37), sweep_curve(topology, 250)]
+        curves[1] = cm.PlanarCurve(curves[1].points * [1.0, -0.5], topology)
+        sample = cm.CurveSample.build(curves, cm.EvaluationGrid(64, topology))
+        thetas = sweep_thetas(topology, 64, rng)
+        fast = cm.total_reconstruction_error_sq_batch(sample, thetas)
+        for th, got in zip(thetas, fast):
+            want = sum(
+                oracles.reconstruction_error_sq(c.points, topology, th, 64) for c in curves
+            )
+            assert within_engine_tolerance(got, want), (th, got, want)
+
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    @pytest.mark.parametrize("variable_k", [False, True])
+    @pytest.mark.parametrize("include_likelihood", [False, True])
+    def test_log_posterior_rows(self, topology, variable_k, include_likelihood):
+        n_eval = 64
+        rng = np.random.default_rng(5)
+        curve = sweep_curve(topology, 120)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
+        spec = cm.ModelSpec(n_eval=n_eval, topology=topology, alpha=1.5, lam=2.0, k_max=9)
+        valid = sweep_thetas(topology, n_eval, rng)
+        unordered = [th[::-1] for th in valid if th.size > 1][:10]
+        crowded = [
+            np.sort(np.append(th, th[0] + 0.5 * spec.min_spacing))
+            for th in valid
+            if th.size < 8 and th[0] + spec.min_spacing < th[1:2].min(initial=1.0)
+        ][:10]
+        outside = [np.append(th, 1.0 + th[0])[-4:] for th in valid[:5]]
+        assert len(unordered) == len(crowded) == 10
+        rows = valid + unordered + crowded + outside
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        lp = cm.log_posterior_batch(
+            sample, rows, spec, variable_k=variable_k, include_likelihood=include_likelihood
+        )
+        n_finite = 0
+        for th, got in zip(rows, lp):
+            want = log_posterior_theta(
+                sample, th, spec, variable_k=variable_k, include_likelihood=include_likelihood
+            )
+            if want == -np.inf:
+                assert got == -np.inf, th
+            else:
+                n_finite += 1
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (th, got, want)
+        assert n_finite >= 20
+        # the crowded rows break the min-spacing rule and nothing else
+        crowded_lp = cm.log_posterior_batch(
+            sample, crowded, spec, variable_k=variable_k, include_likelihood=include_likelihood
+        )
+        assert np.all(np.isneginf(crowded_lp) == include_likelihood)

@@ -95,6 +95,32 @@ class TestMarginalDensity:
             total = integrate.trapezoid(dens, grid)
             assert total == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    def test_chunked_grid_equals_one_matrix(self, rng, topology):
+        # 2,000 draws: 6,000 data columns, so the grid is cut into chunks
+        vals = np.clip(rng.normal(0.3, 0.1, 2000), 1e-3, 1.0 - 1e-3)
+        ss = sample_set([[v] for v in vals], topology)
+        _, dens = cm.marginal_density(ss, 0)
+        x = ss.theta_matrix()[:, 0]
+        iqr = float(np.subtract(*np.percentile(x, [75.0, 25.0])))
+        bw = max(0.9 * min(float(np.std(x, ddof=1)), iqr / 1.34) * x.size ** (-0.2), 1e-3)
+        assert np.array_equal(dens, oracles.kde_direct(x, bw, topology))
+
+    def test_memory_bounded_on_many_draws(self, rng):
+        import tracemalloc
+
+        vals = np.sort(rng.uniform(0.0, 1.0, (100_000, 2)), axis=1)
+        ss = cm.PosteriorSampleSet(
+            list(vals), np.full(len(vals), 2), np.zeros(len(vals)), 0.5, cm.CLOSED
+        )
+        tracemalloc.start()
+        try:
+            cm.marginal_density(ss, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_needs_enough_samples(self):
         ss = sample_set([[0.5]] * 10)
         with pytest.raises(ValueError):
