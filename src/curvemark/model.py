@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, compute_srvf
+from .curves import OPEN, CurveError, EvaluationGrid, compute_srvf
 from .reconstruct import (
     CacheStack,
     CurveCache,
@@ -22,6 +22,8 @@ from .reconstruct import (
     SpacingVector,
     _error_sq_rows,
     _error_sq_sum,
+    _min_count,
+    _row_spacings,
     _spacing_list,
     _valid_spacings,
 )
@@ -32,7 +34,7 @@ NEG_INF = float("-inf")
 def k_min_for(topology: str) -> int:
     """Smallest admissible landmark count: 1 for open curves, 3 for closed
     (a closed reconstruction needs three vertices)."""
-    return 3 if topology == CLOSED else 1
+    return _min_count(topology)
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,13 @@ def _floats(theta) -> list:
     return theta.tolist() if isinstance(theta, np.ndarray) else [float(v) for v in theta]
 
 
+def _dirichlet_norm(p: int, alpha: float) -> float:
+    """Log normalizer of the symmetric Dirichlet over p spacings."""
+    return math.lgamma(p * alpha) - p * math.lgamma(alpha)
+
+
 def _log_dirichlet(s: list, alpha: float) -> float:
-    p = len(s)
-    return (
-        math.lgamma(p * alpha)
-        - p * math.lgamma(alpha)
-        + (alpha - 1.0) * sum(map(math.log, s))
-    )
+    return _dirichlet_norm(len(s), alpha) + (alpha - 1.0) * sum(map(math.log, s))
 
 
 def log_prior_spacing(s, spec: ModelSpec) -> float:
@@ -146,7 +148,20 @@ def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarr
     th, ks = _stack_rows(thetas)
     if not _row_spacings(th, ks, sample.grid.topology)[1].all():
         raise LandmarkError("invalid landmark vector in the batch")
-    return _error_sq_rows(sample.stack, th, ks, sample.grid)
+    return _error_sq_chunked(sample, th, ks)
+
+
+# Rows per call of the batched engine, whose temporaries grow as M * rows
+# * k: 1024 rows peak at about 25 MB (M = 5, k = 10, tracemalloc) and
+# cost no more per row than larger chunks.
+_BATCH_ROWS = 1024
+
+
+def _error_sq_chunked(sample: CurveSample, th: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    return np.concatenate([
+        _error_sq_rows(sample.stack, th[i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS], sample.grid)
+        for i in range(0, len(ks), _BATCH_ROWS)
+    ])
 
 
 def _log_marginal_const(spec: ModelSpec, m: int) -> float:
@@ -155,9 +170,11 @@ def _log_marginal_const(spec: ModelSpec, m: int) -> float:
     return -nm * math.log(math.pi) + math.lgamma(a + nm) + a * math.log(b) - math.lgamma(a)
 
 
-def _log_marginal_from_error(total_sq: float, spec: ModelSpec, m: int) -> float:
+def _log_marginal_from_error(total_sq, spec: ModelSpec, m: int, log=math.log):
+    """Log marginal likelihood at a total squared error (an array of them
+    with ``log=np.log``)."""
     shape = spec.a + spec.n_eval * m
-    return _log_marginal_const(spec, m) - shape * math.log(spec.b + total_sq)
+    return _log_marginal_const(spec, m) - shape * log(spec.b + total_sq)
 
 
 def log_marginal_likelihood(
@@ -229,22 +246,6 @@ def _stack_rows(thetas):
     return np.concatenate(thetas).astype(float, copy=False)[start[:, None] + col], ks
 
 
-def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
-    """Spacings of every padded row, as :func:`~curvemark.reconstruct._spacing_list`
-    computes them (1.0 in the padding), and which rows
-    :func:`~curvemark.reconstruct._valid_spacings` accepts."""
-    last = th[:, -1]
-    gaps = th[:, 1:] - th[:, :-1]
-    gaps[np.arange(1, th.shape[1]) >= ks[:, None]] = 1.0
-    if topology == OPEN:
-        s = np.concatenate([th[:, :1], gaps, (1.0 - last)[:, None]], axis=1)
-        valid = (th[:, 0] > 0.0) & (last < 1.0)
-    else:
-        s = np.concatenate([gaps, ((th[:, 0] - last) + 1.0)[:, None]], axis=1)
-        valid = (th[:, 0] >= 0.0) & (last < 1.0)
-    return s, valid & (ks >= k_min_for(topology)) & (s > 0.0).all(axis=1)
-
-
 def log_posterior_batch(
     sample: CurveSample,
     thetas,
@@ -267,8 +268,7 @@ def log_posterior_batch(
     # the Dirichlet normalizer of each landmark count in the batch
     norm = {}
     for k in set(ks[valid].tolist()):
-        p = k + 1 if spec.topology == OPEN else k
-        norm[k] = math.lgamma(p * spec.alpha) - p * math.lgamma(spec.alpha)
+        norm[k] = _dirichlet_norm(k + 1 if spec.topology == OPEN else k, spec.alpha)
     lp = np.array([norm.get(k, NEG_INF) for k in counts])
     if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
         lp += (spec.alpha - 1.0) * np.log(np.where(valid[:, None], s, 1.0)).sum(axis=1)
@@ -280,9 +280,8 @@ def log_posterior_batch(
         valid &= s.min(axis=1) >= spec.min_spacing
         keep = np.flatnonzero(valid)
         if keep.size:
-            total = _error_sq_rows(sample.stack, th[keep], ks[keep], sample.grid)
-            shape = spec.a + spec.n_eval * sample.m
-            lp[keep] += _log_marginal_const(spec, sample.m) - shape * np.log(spec.b + total)
+            total = _error_sq_chunked(sample, th[keep], ks[keep])
+            lp[keep] += _log_marginal_from_error(total, spec, sample.m, np.log)
     return np.where(valid, lp, NEG_INF)
 
 

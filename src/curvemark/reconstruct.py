@@ -33,20 +33,41 @@ def _spacing_list(th: list, topology: str) -> list:
     return gaps + [th[0] - th[-1] + 1.0]
 
 
+def _min_count(topology: str) -> int:
+    """Smallest landmark count of a topology: 1 open, 3 closed."""
+    return 1 if topology == OPEN else 3
+
+
 def _valid_spacings(th: list, topology: str) -> list | None:
     """Spacings of a landmark list, or None when the list violates the
     ordering, support or minimum count of its topology."""
-    k = len(th)
-    if topology == OPEN:
-        if k < 1 or not 0.0 < th[0] or not th[-1] < 1.0:
-            return None
-    elif k < 3 or not 0.0 <= th[0] or not th[-1] < 1.0:
+    if len(th) < _min_count(topology) or not th[-1] < 1.0:
+        return None
+    if not (0.0 < th[0] if topology == OPEN else 0.0 <= th[0]):
         return None
     s = _spacing_list(th, topology)
     for gap in s:
         if not gap > 0.0:
             return None
     return s
+
+
+def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
+    """:func:`_valid_spacings` of every row of a (B, K) array, row r
+    holding ``ks[r]`` landmarks padded with its last one: the spacings as
+    :func:`_spacing_list` computes them (1.0 in the padding) and which
+    rows are valid."""
+    last = th[:, -1]
+    gaps = th[:, 1:] - th[:, :-1]
+    gaps[np.arange(1, th.shape[1]) >= ks[:, None]] = 1.0
+    if topology == OPEN:
+        s = np.concatenate([th[:, :1], gaps, (1.0 - last)[:, None]], axis=1)
+        first = th[:, 0] > 0.0
+    else:
+        s = np.concatenate([gaps, ((th[:, 0] - last) + 1.0)[:, None]], axis=1)
+        first = th[:, 0] >= 0.0
+    valid = (ks >= _min_count(topology)) & first & (last < 1.0)
+    return s, valid & (s > 0.0).all(axis=1)
 
 
 def theta_is_valid(theta: np.ndarray, topology: str) -> bool:

@@ -26,7 +26,14 @@ from .model import (
     log_posterior_batch,
     log_posterior_theta,
 )
-from .rwm import PosteriorSampleSet, _decide, _propose_stay, _run_path, draw_initial_theta
+from .rwm import (
+    PosteriorSampleSet,
+    _decide,
+    _propose_stay,
+    _run_path,
+    draw_initial_theta,
+    rwm_step,
+)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,20 @@ def propose_birth(
     anyway.  The guard is dropped in prior-only validation runs to keep the
     proposal density exactly uniform.
     """
+    return _birth(theta, rng, spec, move_probs, guard)
+
+
+def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
+    """Remove a uniformly chosen landmark; reciprocal of the matched birth."""
+    return _death(theta, rng, spec, move_probs)
+
+
+# The bodies of propose_birth and propose_death.  The samplers' block loop
+# draws ahead with these, so that the public move functions run once per
+# chain iteration (see rwm._run_path).
+
+
+def _birth(theta, rng, spec, move_probs, guard):
     th = theta.tolist()
     u = rng.random()
     if guard:
@@ -110,8 +131,7 @@ def propose_birth(
     return np.array(th), log_ratio
 
 
-def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
-    """Remove a uniformly chosen landmark; reciprocal of the matched birth."""
+def _death(theta, rng, spec, move_probs):
     k = theta.size
     log_ratio = _jump_log_ratios(k, spec.topology, tuple(move_probs))[1]
     if log_ratio == NEG_INF:
@@ -165,19 +185,43 @@ def run_rjmcmc(
         raise RuntimeError("could not find an initial state with finite posterior")
 
     sd = math.sqrt(cfg.proposal_var)
+    guard = not prior_only
 
-    def propose(th):
+    def choose(th):
+        """Draw the move: 0 birth, 1 death, 2 stay."""
         pb, pd, _ = move_probabilities(th.size, k_min, cfg.move_probs)
         u = rng.random()
-        if u < pb:
-            return propose_birth(th, rng, spec, cfg.move_probs, guard=not prior_only)
-        if u < pb + pd:
-            return propose_death(th, rng, spec, cfg.move_probs)
+        return 0 if u < pb else 1 if u < pb + pd else 2
+
+    def draw(th):
+        move = choose(th)
+        if move == 0:
+            return _birth(th, rng, spec, cfg.move_probs, guard)
+        if move == 1:
+            return _death(th, rng, spec, cfg.move_probs)
         return _propose_stay(th, rng, spec.topology, sd), 0.0
 
-    def step(th, lp):
-        prop, log_ratio = propose(th)
-        return _decide(th, lp, prop, logpost(prop), log_ratio, rng)
+    def step(th, lp, logp_new=None):
+        move = choose(th)
+        if move == 2:
+            return rwm_step(
+                th,
+                lp,
+                sample,
+                spec,
+                cfg.proposal_var,
+                rng,
+                variable_k=True,
+                prior_only=prior_only,
+                logp_new=logp_new,
+            )
+        if move == 0:
+            prop, log_ratio = propose_birth(th, rng, spec, cfg.move_probs, guard=guard)
+        else:
+            prop, log_ratio = propose_death(th, rng, spec, cfg.move_probs)
+        if logp_new is None:
+            logp_new = logpost(prop)
+        return _decide(th, lp, prop, logp_new, log_ratio, rng)
 
     kept_theta, kept_logp, accepted = _run_path(
         theta,
@@ -185,7 +229,7 @@ def run_rjmcmc(
         cfg,
         rng,
         step,
-        propose,
+        draw,
         score=lambda rows: log_posterior_batch(
             sample, rows, spec, variable_k=True, include_likelihood=not prior_only
         ),

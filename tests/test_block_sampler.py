@@ -1,6 +1,7 @@
 """Both samplers score runs of rejected proposals in blocks; the chain must
 be the one-at-a-time chain of ``oracles.one_at_a_time_chain``, draw for
-draw, whatever the block size."""
+draw and log posterior for log posterior, whatever the block size, with
+one public move call per iteration."""
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def assert_same_chain(res, ref):
         assert np.array_equal(got, want)
     assert np.array_equal(res.ks, ks)
     assert res.accept_rate == rate
-    assert np.all(np.abs(res.log_post - log_post) <= 1e-9 * (1.0 + np.abs(log_post)))
+    assert np.array_equal(res.log_post, log_post)
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +122,33 @@ def test_chain_does_not_depend_on_block_cap(name, cap, references, monkeypatch):
     monkeypatch.setattr(rwm, "_BLOCK_CAP", cap)
     res, _ = run_case(case, monkeypatch)
     assert_same_chain(res, ref)
+
+
+@pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
+def test_one_public_move_call_per_iteration(name, references, monkeypatch):
+    # a stay is accepted iff rwm_step returns a new state, a birth or death
+    # iff the next move starts from the state it proposed
+    case, ref = references[name]
+    calls = []
+
+    def recorded(fn):
+        def move(theta, *args, **kwargs):
+            out = fn(theta, *args, **kwargs)
+            calls.append((fn.__name__, theta, out[0]))
+            return out
+
+        return move
+
+    for module, fn in [(rwm, "rwm_step"), (rjmcmc, "rwm_step"),
+                       (rjmcmc, "propose_birth"), (rjmcmc, "propose_death")]:
+        monkeypatch.setattr(module, fn, recorded(getattr(module, fn)))
+    res, share = run_case(case, monkeypatch)
+    assert_same_chain(res, ref)
+    assert len(calls) == case[2].n_iter
+    starts = [theta for _, theta, _ in calls[1:]]
+    accepted = sum(
+        not np.array_equal(theta, out) if fn == "rwm_step" else np.array_equal(out, nxt)
+        for (fn, theta, out), nxt in zip(calls, starts)
+    )
+    assert abs(accepted - ref[3] * len(calls)) <= 1
+    assert share > 0.2

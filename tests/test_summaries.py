@@ -181,6 +181,28 @@ class TestDistanceCriterion:
         assert seeds[(0, 2)] != seeds[(1, 1)]
         assert len(set(seeds.values())) == len(seeds)
 
+    def test_memory_bounded_on_many_draws(self, monkeypatch, rng):
+        import tracemalloc
+
+        curves = [
+            cm.rescale_unit_length(cm.cut_half_circle(240, cut=c), 240)
+            for c in (0.2, 0.3, 0.4, 0.5, 0.6)
+        ]
+        sample = cm.CurveSample.build(curves, cm.EvaluationGrid(200, cm.CLOSED))
+        thetas = np.sort(rng.uniform(0.0, 1.0, (10_000, 10)), axis=1)
+        draws = sample_set(list(thetas), cm.CLOSED)
+        monkeypatch.setattr(cm.summaries, "run_chain", lambda *args, **kwargs: draws)
+        spec = cm.ModelSpec(n_eval=200, topology=cm.CLOSED)
+        tracemalloc.start()
+        try:
+            (_, d), = cm.distance_criterion(sample, spec, [10], cm.RwmConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        want = np.mean([cm.total_reconstruction_error_sq(sample, th) for th in thetas])
+        assert d == pytest.approx(want, rel=1e-12)
+
 
 class TestExtrinsicMean:
     def test_identical_curves(self):
