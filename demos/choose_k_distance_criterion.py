@@ -19,7 +19,7 @@ spec = cm.ModelSpec(n_eval=100)
 
 # short chains suffice here: d_k^2 is an average over the whole posterior,
 # not a fine location estimate
-cfg = cm.RwmConfig(n_iter=20_000, thin=20, seed=3)
+cfg = cm.ChainConfig(n_iter=20_000, thin=20, seed=3)
 table = cm.distance_criterion(sample, spec, range(1, 9), cfg)
 
 print(" k    d_k^2")

@@ -31,7 +31,7 @@ sample = cm.align_sample_starts(sample)
 print("reference node of first curve:", cm.select_reference_point(sample.curves[0]))
 
 spec = cm.ModelSpec(n_eval=n_eval, topology=cm.CLOSED)
-cfg = cm.RwmConfig(n_iter=50_000, thin=50, seed=1)
+cfg = cm.ChainConfig(n_iter=50_000, thin=50, seed=1)
 result = cm.run_chain(sample, spec, cfg, k=4)
 
 # label alignment removes the cyclic relabeling ambiguity before summaries

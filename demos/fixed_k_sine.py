@@ -20,7 +20,7 @@ sample = cm.CurveSample.build([curve], grid)
 # Dirichlet on spacings
 spec = cm.ModelSpec(n_eval=200)
 
-cfg = cm.RwmConfig(n_iter=100_000, thin=100, seed=7)
+cfg = cm.ChainConfig(n_iter=100_000, thin=100, seed=7)
 result = cm.run_chain(sample, spec, cfg, k=4)
 summary = cm.summarize(result)
 

@@ -16,7 +16,7 @@ import curvemark as cm
 curve = cm.rescale_unit_length(cm.sine_curve(200), 100)
 sample = cm.CurveSample.build([curve], cm.EvaluationGrid(100, cm.OPEN))
 
-cfg = cm.RjmcmcConfig(n_iter=50_000, thin=25, seed=11)
+cfg = cm.ChainConfig(n_iter=50_000, thin=25, seed=11)
 
 print("lambda    mode k   mean k   posterior k counts")
 for lam in (1e-6, 1e-5, 0.1, 1.0):

@@ -34,11 +34,10 @@ from .model import (
     ModelSpec,
     k_min_for,
     log_marginal_likelihood,
-    log_posterior,
     log_posterior_batch,
+    log_posterior_theta,
     log_prior_k,
     log_prior_spacing,
-    sample_precision,
     total_reconstruction_error_sq,
     total_reconstruction_error_sq_batch,
 )
@@ -51,8 +50,8 @@ from .reconstruct import (
     spacing_to_theta,
     theta_to_spacing,
 )
-from .rjmcmc import RjmcmcConfig, propose_birth, propose_death, run_rjmcmc
-from .rwm import PosteriorSampleSet, RwmConfig, run_chain, rwm_step
+from .rjmcmc import propose_birth, propose_death, run_rjmcmc
+from .rwm import ChainConfig, PosteriorSampleSet, run_chain, rwm_step
 from .summaries import distance_criterion, extrinsic_mean, marginal_density, summarize
 from .synthetic import cut_half_circle, generate, half_circle, scaled_sine_family, sine_curve
 
@@ -60,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLOSED",
+    "ChainConfig",
     "OPEN",
     "CurveError",
     "CurveSample",
@@ -70,9 +70,7 @@ __all__ = [
     "ModelSpec",
     "PlanarCurve",
     "PosteriorSampleSet",
-    "RjmcmcConfig",
     "RunConfig",
-    "RwmConfig",
     "SpacingVector",
     "Srvf",
     "align_posterior_samples",
@@ -90,8 +88,8 @@ __all__ = [
     "linear_reconstruction",
     "load_curves",
     "log_marginal_likelihood",
-    "log_posterior",
     "log_posterior_batch",
+    "log_posterior_theta",
     "log_prior_k",
     "log_prior_spacing",
     "marginal_density",
@@ -106,7 +104,6 @@ __all__ = [
     "run_chain",
     "run_rjmcmc",
     "rwm_step",
-    "sample_precision",
     "scaled_sine_family",
     "select_reference_point",
     "sine_curve",

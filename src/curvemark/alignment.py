@@ -70,13 +70,10 @@ def align_sample_starts(sample: CurveSample) -> CurveSample:
     return CurveSample.build(aligned, grid)
 
 
-def circular_component_distance(a: float, b: float) -> float:
-    """min{|a-b|, |a-1-b|, |a+1-b|} for a, b in [0, 1)."""
-    return min(abs(a - b), abs(a - 1.0 - b), abs(a + 1.0 - b))
-
-
-def _circular_distance_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b)
+def circular_component_distance(a, b):
+    """Circular distance min{|a-b|, 1-|a-b|} between locations in [0, 1);
+    elementwise on arrays."""
+    d = np.abs(np.subtract(a, b))
     return np.minimum(d, 1.0 - d)
 
 
@@ -85,26 +82,20 @@ def align_posterior_samples(samples: PosteriorSampleSet) -> PosteriorSampleSet:
     circular distance to the first sample.
 
     Only the k cyclic rotations are searched; landmark order around a closed
-    curve is cyclic by construction.  Ties break toward the smallest
-    rotation offset, which makes the operation idempotent.
+    curve is cyclic by construction.  All rotations of all samples are
+    scored as one (n, k, k) array.  Ties break toward the smallest rotation
+    offset, which makes the operation idempotent.
     """
     if samples.topology != CLOSED:
         raise ValueError("posterior alignment applies to closed-curve samples")
     if samples.n == 0:
         return samples
-    k_values = np.unique(samples.ks)
-    if k_values.size != 1:
+    if np.unique(samples.ks).size != 1:
         raise ValueError("posterior alignment requires a fixed landmark count")
-    ref = samples.thetas[0]
-    k = ref.size
-    out = [ref.copy()]
-    for th in samples.thetas[1:]:
-        best = th
-        best_cost = np.inf
-        for r in range(k):
-            cand = np.roll(th, -r)
-            cost = float(_circular_distance_vec(cand, ref).sum())
-            if cost < best_cost:
-                best, best_cost = cand, cost
-        out.append(best.copy())
-    return replace(samples, thetas=out)
+    th = np.array(samples.thetas)
+    n, k = th.shape
+    # rotations[i, r] is sample i rolled left by r
+    rotations = th[:, (np.arange(k)[:, None] + np.arange(k)) % k]
+    cost = circular_component_distance(rotations, th[0]).sum(axis=2)
+    best = rotations[np.arange(n), cost.argmin(axis=1)]
+    return replace(samples, thetas=list(best))

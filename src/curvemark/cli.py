@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,11 +23,11 @@ from .io import (
     persist_results,
     read_samples_csv,
     write_curve_csv,
+    write_dk2_csv,
 )
-from .model import ModelSpec
 from .reconstruct import LandmarkError
-from .rjmcmc import RjmcmcConfig, run_rjmcmc
-from .rwm import RwmConfig, run_chain
+from .rjmcmc import run_rjmcmc
+from .rwm import run_chain
 from .summaries import distance_criterion, marginal_density, summarize
 from .synthetic import generate
 
@@ -91,32 +93,17 @@ def _merged_config(args: argparse.Namespace, mode: str) -> RunConfig:
     else:
         cfg = RunConfig()
     cfg.mode = mode
-    for name in (
-        "topology", "k", "n_eval", "a", "b", "alpha", "lam", "n_iter",
-        "burn_in_frac", "thin", "proposal_var", "seed", "curves", "out_dir",
-    ):
-        value = getattr(args, name, None)
+    # every flag named after a config field overrides it (no flag is named
+    # mode or k_range)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     if getattr(args, "k_min", None) is not None and getattr(args, "k_max", None) is not None:
         cfg.k_range = [args.k_min, args.k_max]
     if not cfg.curves:
         raise InputError("no input curves given (flag --curves or config field)")
     return cfg
-
-
-def _spec(cfg: RunConfig) -> ModelSpec:
-    return ModelSpec(
-        n_eval=cfg.n_eval, topology=cfg.topology,
-        a=cfg.a, b=cfg.b, alpha=cfg.alpha, lam=cfg.lam,
-    )
-
-
-def _rwm(cfg: RunConfig) -> RwmConfig:
-    return RwmConfig(
-        n_iter=cfg.n_iter, burn_in_frac=cfg.burn_in_frac, thin=cfg.thin,
-        proposal_var=cfg.proposal_var, seed=cfg.seed,
-    )
 
 
 def _summaries_and_densities(result, topology):
@@ -130,12 +117,23 @@ def _summaries_and_densities(result, topology):
     return result, summary, densities
 
 
+def _modal_summaries(result, topology):
+    """Summaries of the draws at the modal landmark count, with the k
+    counts and the mode of all draws recorded in the summary."""
+    counts = result.k_counts()
+    k_mode = max(counts, key=counts.get)
+    modal, summary, densities = _summaries_and_densities(result.select_k(k_mode), topology)
+    summary["k_counts"] = {str(k): c for k, c in sorted(counts.items())}
+    summary["k_mode"] = k_mode
+    return modal, summary, densities
+
+
 def cmd_run_fixed(args) -> int:
     cfg = _merged_config(args, "fixed-k")
     if cfg.k is None:
         raise InputError("run-fixed requires --k (or the k config field)")
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
-    result = run_chain(sample, _spec(cfg), _rwm(cfg), k=cfg.k)
+    result = run_chain(sample, cfg.spec(), cfg.chain(), k=cfg.k)
     result, summary, densities = _summaries_and_densities(result, cfg.topology)
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior mean: {np.round(summary['mean'], 4).tolist()}")
@@ -149,22 +147,12 @@ def cmd_run_rjmcmc(args) -> int:
     if cfg.lam is None:
         raise InputError("run-rjmcmc requires --lam (or the lam config field)")
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
-    spec = _spec(cfg)
-    result = run_rjmcmc(
-        sample, spec,
-        RjmcmcConfig(n_iter=cfg.n_iter, burn_in_frac=cfg.burn_in_frac,
-                     thin=cfg.thin, proposal_var=cfg.proposal_var, seed=cfg.seed),
-    )
-    counts = result.k_counts()
-    k_mode = max(counts, key=counts.get)
-    modal = result.select_k(k_mode)
-    modal, summary, densities = _summaries_and_densities(modal, cfg.topology)
-    summary["k_counts"] = {str(k): c for k, c in sorted(counts.items())}
-    summary["k_mode"] = k_mode
+    result = run_rjmcmc(sample, cfg.spec(), cfg.chain())
+    _, summary, densities = _modal_summaries(result, cfg.topology)
     summary["accept_rate"] = float(result.accept_rate)
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior k counts: {summary['k_counts']}")
-    print(f"modal k: {k_mode}; mean at modal k: {np.round(summary['mean'], 4).tolist()}")
+    print(f"modal k: {summary['k_mode']}; mean at modal k: {np.round(summary['mean'], 4).tolist()}")
     print("wrote: " + ", ".join(written))
     return 0
 
@@ -175,15 +163,10 @@ def cmd_criterion(args) -> int:
         raise InputError("criterion requires --k-min/--k-max (or the k_range field)")
     k_lo, k_hi = cfg.k_range
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
-    table = distance_criterion(sample, _spec(cfg), range(k_lo, k_hi + 1), _rwm(cfg))
-    import os
-
+    table = distance_criterion(sample, cfg.spec(), range(k_lo, k_hi + 1), cfg.chain())
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "dk2.csv")
-    with open(path, "w") as fh:
-        fh.write("k,dk2\n")
-        for k, d in table:
-            fh.write(f"{k},{d:.17g}\n")
+    write_dk2_csv(path, table)
     for k, d in table:
         print(f"k={k}  dk2={d:.6g}")
     print(f"wrote: {path}")
@@ -192,13 +175,9 @@ def cmd_criterion(args) -> int:
 
 def cmd_summarize(args) -> int:
     result = read_samples_csv(args.samples, args.topology)
-    counts = result.k_counts()
-    k_mode = max(counts, key=counts.get)
-    modal = result.select_k(k_mode)
-    modal, summary, densities = _summaries_and_densities(modal, args.topology)
-    if len(counts) > 1:
-        summary["k_counts"] = {str(k): c for k, c in sorted(counts.items())}
-        summary["k_mode"] = k_mode
+    modal, summary, densities = _modal_summaries(result, args.topology)
+    if len(summary["k_counts"]) == 1:  # a fixed-k table: nothing to record
+        del summary["k_counts"], summary["k_mode"]
     written = persist_results(modal, summary, args.out_dir, None, densities)
     print(f"posterior mean: {np.round(summary['mean'], 4).tolist()}")
     print("wrote: " + ", ".join(written))

@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .alignment import align_sample_starts
 from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, PlanarCurve, rescale_unit_length
-from .model import CurveSample
-from .rwm import PosteriorSampleSet
+from .model import CurveSample, ModelSpec
+from .rwm import ChainConfig, PosteriorSampleSet
 
 
 class InputError(ValueError):
@@ -47,6 +47,20 @@ class RunConfig:
     seed: int = 0
     curves: list[str] = field(default_factory=list)
     out_dir: str = "results"
+
+    def spec(self) -> ModelSpec:
+        """The model hyperparameters among these knobs."""
+        return self._build(ModelSpec)
+
+    def chain(self) -> ChainConfig:
+        """The chain settings among these knobs."""
+        return self._build(ChainConfig)
+
+    def _build(self, cls):
+        """``cls`` built from the fields it shares with this config, by name;
+        its other fields keep their defaults."""
+        shared = {f.name for f in fields(cls)} & set(self.__dataclass_fields__)
+        return cls(**{name: getattr(self, name) for name in shared})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -143,6 +157,15 @@ def write_samples_csv(path: str, samples: PosteriorSampleSet) -> None:
             writer.writerow(cells)
 
 
+def write_dk2_csv(path: str, table: list[tuple[int, float]]) -> None:
+    """Distance-criterion table: one ``k,dk2`` row per landmark count."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "dk2"])
+        for k, d in table:
+            writer.writerow([str(k), _fmt(d)])
+
+
 def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
     """Inverse of :func:`write_samples_csv`; acceptance rate is not stored
     in the table and comes back as NaN."""
@@ -178,9 +201,8 @@ def persist_results(
     out_dir: str,
     config: RunConfig | None = None,
     densities: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-    dk2: list[tuple[int, float]] | None = None,
 ) -> list[str]:
-    """Write samples.csv, summary.json, density_<j>.csv, and dk2.csv into
+    """Write samples.csv, summary.json and density_<j>.csv into
     ``out_dir``; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -204,14 +226,6 @@ def persist_results(
                 writer.writerow(["t", "density"])
                 for t, d in zip(grid, dens):
                     writer.writerow([_fmt(t), _fmt(d)])
-            written.append(path)
-        if dk2 is not None:
-            path = os.path.join(out_dir, "dk2.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["k", "dk2"])
-                for k, d in dk2:
-                    writer.writerow([str(k), _fmt(d)])
             written.append(path)
     except OSError as exc:
         raise InputError(f"failed writing results under {out_dir}: {exc}") from exc

@@ -2,8 +2,7 @@
 
 All densities are computed in log space: the Gamma function arguments grow
 with N*M and overflow otherwise.  The precision of the SRVF noise model is
-marginalized analytically against its Gamma prior; an optional Gibbs draw
-of it is available for users who want precision inference.
+marginalized analytically against its Gamma prior.
 """
 
 from __future__ import annotations
@@ -191,16 +190,6 @@ def log_marginal_likelihood(
     return _log_marginal_from_error(total_reconstruction_error_sq(sample, th), spec, sample.m)
 
 
-def log_posterior(
-    sample: CurveSample,
-    cfg: LandmarkConfig,
-    spec: ModelSpec,
-    variable_k: bool = False,
-) -> float:
-    """Unnormalized log posterior of a landmark configuration."""
-    return log_posterior_theta(sample, cfg.theta, spec, variable_k=variable_k)
-
-
 def log_posterior_theta(
     sample: CurveSample,
     theta: np.ndarray,
@@ -284,16 +273,3 @@ def log_posterior_batch(
             lp[keep] += _log_marginal_from_error(total, spec, sample.m, np.log)
     return np.where(valid, lp, NEG_INF)
 
-
-def sample_precision(
-    rng: np.random.Generator,
-    sample: CurveSample,
-    cfg: LandmarkConfig,
-    spec: ModelSpec,
-) -> float:
-    """Gibbs draw of the noise precision from its full conditional,
-    Gamma(a + NM, b + total squared error).  Optional; the default
-    inference path never samples it."""
-    total = total_reconstruction_error_sq(sample, cfg.theta)
-    shape = spec.a + spec.n_eval * sample.m
-    return float(rng.gamma(shape, 1.0 / (spec.b + total)))

@@ -12,54 +12,20 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import CLOSED
-from .model import (
-    CurveSample,
-    ModelSpec,
-    NEG_INF,
-    k_min_for,
-    log_posterior_batch,
-    log_posterior_theta,
-)
+from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
 from .rwm import (
+    ChainConfig,
     PosteriorSampleSet,
     _decide,
     _propose_stay,
-    _run_path,
+    _sample_chain,
     draw_initial_theta,
     rwm_step,
 )
-
-
-@dataclass(frozen=True)
-class RjmcmcConfig:
-    """Trans-dimensional chain settings; ``proposal_var`` drives the
-    within-dimension stay move."""
-
-    n_iter: int = 100_000
-    burn_in_frac: float = 0.1
-    thin: int = 100
-    proposal_var: float = 0.02
-    seed: int = 0
-    move_probs: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-    def __post_init__(self):
-        if self.n_iter < 1000:
-            raise ValueError("n_iter must be at least 1000")
-        if not 0.0 <= self.burn_in_frac < 1.0:
-            raise ValueError("burn_in_frac must be in [0, 1)")
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
-        if self.proposal_var <= 0.0:
-            raise ValueError("proposal_var must be positive")
-        p = np.asarray(self.move_probs, dtype=float)
-        if p.size != 3 or np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("move_probs must be 3 positive values summing to 1")
 
 
 def move_probabilities(k: int, k_min: int, move_probs) -> tuple[float, float, float]:
@@ -158,32 +124,13 @@ def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
 def run_rjmcmc(
     sample: CurveSample,
     spec: ModelSpec,
-    cfg: RjmcmcConfig,
+    cfg: ChainConfig,
     init=None,
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
     """Run the birth-death-stay chain over (k, theta)."""
     rng = np.random.default_rng(cfg.seed)
     k_min = k_min_for(spec.topology)
-
-    def logpost(th):
-        return log_posterior_theta(
-            sample, th, spec, variable_k=True, include_likelihood=not prior_only
-        )
-
-    if init is not None:
-        theta = np.asarray(init.theta, dtype=float)
-        logp = logpost(theta)
-    else:
-        logp = NEG_INF
-        for _ in range(100):
-            theta = draw_initial_state(rng, spec)
-            logp = logpost(theta)
-            if logp > NEG_INF:
-                break
-    if logp == NEG_INF:
-        raise RuntimeError("could not find an initial state with finite posterior")
-
     sd = math.sqrt(cfg.proposal_var)
     guard = not prior_only
 
@@ -220,24 +167,20 @@ def run_rjmcmc(
         else:
             prop, log_ratio = propose_death(th, rng, spec, cfg.move_probs)
         if logp_new is None:
-            logp_new = logpost(prop)
+            logp_new = log_posterior_theta(
+                sample, prop, spec, variable_k=True, include_likelihood=not prior_only
+            )
         return _decide(th, lp, prop, logp_new, log_ratio, rng)
 
-    kept_theta, kept_logp, accepted = _run_path(
-        theta,
-        logp,
+    return _sample_chain(
+        sample,
+        spec,
         cfg,
         rng,
-        step,
-        draw,
-        score=lambda rows: log_posterior_batch(
-            sample, rows, spec, variable_k=True, include_likelihood=not prior_only
-        ),
-    )
-    rate = accepted / cfg.n_iter
-    if accepted == 0:
-        warnings.warn("chain accepted no proposals; check the proposal settings")
-    ks = np.array([th.size for th in kept_theta], dtype=int)
-    return PosteriorSampleSet(
-        kept_theta, ks, np.asarray(kept_logp), rate, spec.topology
+        init,
+        prior_only,
+        variable_k=True,
+        draw_prior=lambda: draw_initial_state(rng, spec),
+        step=step,
+        draw=draw,
     )

@@ -13,15 +13,18 @@ from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_pos
 
 
 @dataclass(frozen=True)
-class RwmConfig:
+class ChainConfig:
     """Chain settings.  Defaults follow the usual recipe: 10% burn-in,
-    thin by 100, normal proposal variance 0.02."""
+    thin by 100, normal proposal variance 0.02.  ``move_probs`` are the
+    (birth, death, stay) probabilities of the variable-k chain; the
+    fixed-k chain only stays."""
 
     n_iter: int = 100_000
     burn_in_frac: float = 0.1
     thin: int = 100
     proposal_var: float = 0.02
     seed: int = 0
+    move_probs: tuple = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
     def __post_init__(self):
         if self.n_iter < 1000:
@@ -32,6 +35,9 @@ class RwmConfig:
             raise ValueError("thin must be at least 1")
         if self.proposal_var <= 0.0:
             raise ValueError("proposal_var must be positive")
+        p = np.asarray(self.move_probs, dtype=float)
+        if p.size != 3 or np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError("move_probs must be 3 positive values summing to 1")
 
 
 @dataclass
@@ -237,10 +243,53 @@ def _run_path(theta, logp, cfg, rng, step, draw, score):
     return kept_theta, kept_logp, accepted
 
 
+def _sample_chain(sample, spec, cfg, rng, init, prior_only, variable_k, draw_prior, step, draw):
+    """Start a chain and run it: from ``init`` if given, else from the first
+    of up to 100 prior draws ``draw_prior()`` with a finite posterior; then
+    ``_run_path`` with the moves ``step`` and ``draw``.  Returns the
+    retained draws as a sample set."""
+
+    def logpost(th):
+        return log_posterior_theta(
+            sample, th, spec, variable_k=variable_k, include_likelihood=not prior_only
+        )
+
+    if init is not None:
+        theta = np.asarray(init.theta, dtype=float)
+        logp = logpost(theta)
+    else:
+        logp = NEG_INF
+        for _ in range(100):
+            theta = draw_prior()
+            logp = logpost(theta)
+            if logp > NEG_INF:
+                break
+    if logp == NEG_INF:
+        raise RuntimeError("could not find an initial state with finite posterior")
+
+    kept_theta, kept_logp, accepted = _run_path(
+        theta,
+        logp,
+        cfg,
+        rng,
+        step,
+        draw,
+        score=lambda rows: log_posterior_batch(
+            sample, rows, spec, variable_k=variable_k, include_likelihood=not prior_only
+        ),
+    )
+    if accepted == 0:
+        warnings.warn("chain accepted no proposals; check the proposal settings")
+    ks = np.array([th.size for th in kept_theta], dtype=int)
+    return PosteriorSampleSet(
+        kept_theta, ks, np.asarray(kept_logp), accepted / cfg.n_iter, spec.topology
+    )
+
+
 def run_chain(
     sample: CurveSample,
     spec: ModelSpec,
-    cfg: RwmConfig,
+    cfg: ChainConfig,
     k: int | None = None,
     init=None,
     prior_only: bool = False,
@@ -251,48 +300,21 @@ def run_chain(
     Burn-in and thinning are applied to the returned sample set; the raw
     acceptance rate covers all iterations.
     """
+    if init is None and k is None:
+        raise ValueError("k is required when init is not given")
     rng = np.random.default_rng(cfg.seed)
-    if init is not None:
-        theta = np.asarray(init.theta, dtype=float)
-        k = theta.size
-        logp = log_posterior_theta(
-            sample, theta, spec, include_likelihood=not prior_only
-        )
-    else:
-        if k is None:
-            raise ValueError("k is required when init is not given")
-        logp = NEG_INF
-        for _ in range(100):
-            theta = draw_initial_theta(rng, spec, k)
-            logp = log_posterior_theta(
-                sample, theta, spec, include_likelihood=not prior_only
-            )
-            if logp > NEG_INF:
-                break
-    if logp == NEG_INF:
-        raise RuntimeError("could not find an initial state with finite posterior")
-
     sd = math.sqrt(cfg.proposal_var)
-    kept_theta, kept_logp, accepted = _run_path(
-        theta,
-        logp,
+    return _sample_chain(
+        sample,
+        spec,
         cfg,
         rng,
+        init,
+        prior_only,
+        variable_k=False,
+        draw_prior=lambda: draw_initial_theta(rng, spec, k),
         step=lambda th, lp, logp_new=None: rwm_step(
             th, lp, sample, spec, cfg.proposal_var, rng, prior_only=prior_only, logp_new=logp_new
         ),
         draw=lambda th: (_propose_stay(th, rng, spec.topology, sd), 0.0),
-        score=lambda rows: log_posterior_batch(
-            sample, rows, spec, include_likelihood=not prior_only
-        ),
-    )
-    rate = accepted / cfg.n_iter
-    if accepted == 0:
-        warnings.warn("chain accepted no proposals; check the proposal variance")
-    return PosteriorSampleSet(
-        kept_theta,
-        np.full(len(kept_theta), k, dtype=int),
-        np.asarray(kept_logp),
-        rate,
-        spec.topology,
     )

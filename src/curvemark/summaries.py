@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import CLOSED, CurveError, PlanarCurve
 from .model import CurveSample, ModelSpec, total_reconstruction_error_sq_batch
-from .rwm import PosteriorSampleSet, RwmConfig, run_chain
+from .rwm import ChainConfig, PosteriorSampleSet, run_chain
 
 
 _KDE_CHUNK = 1 << 20
@@ -100,23 +100,23 @@ def distance_criterion(
     sample: CurveSample,
     spec: ModelSpec,
     k_values,
-    rwm_cfg: RwmConfig,
+    cfg: ChainConfig,
 ) -> list[tuple[int, float]]:
     """Average cumulative squared reconstruction error per landmark count.
 
     Runs the fixed-k sampler for each candidate k and averages the summed
     squared error over the retained posterior samples.  Each run gets its
-    own child seed, spawned from ``rwm_cfg.seed`` by
+    own child seed, spawned from ``cfg.seed`` by
     ``np.random.SeedSequence``, so no two runs share a seed, whether they
     differ in k or in the base seed.  The resulting curve is meant for
     elbow inspection; no automatic elbow pick is attempted.
     """
     k_values = list(k_values)
-    children = np.random.SeedSequence(rwm_cfg.seed).spawn(len(k_values))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(k_values))
     out = []
     for k, child in zip(k_values, children):
         seed = int(child.generate_state(1)[0])
-        res = run_chain(sample, spec, replace(rwm_cfg, seed=seed), k=k)
+        res = run_chain(sample, spec, replace(cfg, seed=seed), k=k)
         d = np.mean(total_reconstruction_error_sq_batch(sample, res.theta_matrix()))
         out.append((int(k), float(d)))
     return out

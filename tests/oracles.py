@@ -155,6 +155,13 @@ def best_cyclic_rotation(theta, ref):
     return np.concatenate([theta[best_r:], theta[:best_r]])
 
 
+def align_posterior_thetas(thetas):
+    """Label alignment one draw at a time: every draw rotated by
+    :func:`best_cyclic_rotation` against the first."""
+    ref = thetas[0]
+    return [ref.copy()] + [best_cyclic_rotation(th, ref) for th in thetas[1:]]
+
+
 def grid_posterior_k1(log_post_fn, n_grid=2000):
     """Brute-force normalized k=1 posterior on a uniform grid of cell
     centers over (0, 1).  Returns (centers, probabilities)."""

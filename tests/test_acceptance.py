@@ -53,7 +53,7 @@ def sine100():
 
 @pytest.fixture(scope="module")
 def base_cfg():
-    return cm.RwmConfig(n_iter=100_000, thin=100, proposal_var=0.02, seed=7)
+    return cm.ChainConfig(n_iter=100_000, thin=100, proposal_var=0.02, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_criterion_4_distance_criterion_elbow(sine100):
         sine100,
         cm.ModelSpec(n_eval=100),
         range(1, 6),
-        cm.RwmConfig(n_iter=20_000, thin=20, seed=3),
+        cm.ChainConfig(n_iter=20_000, thin=20, seed=3),
     )
     d = dict(table)
     strictly_decreasing = all(d[k + 1] < d[k] for k in range(1, 4))
@@ -152,7 +152,7 @@ def test_criterion_5_rjmcmc_lambda_path(sine100):
     for lam in (1e-6, 1e-5, 0.1, 1.0):
         spec = cm.ModelSpec(n_eval=100, lam=lam)
         res = cm.run_rjmcmc(
-            sine100, spec, cm.RjmcmcConfig(n_iter=50_000, thin=25, seed=11)
+            sine100, spec, cm.ChainConfig(n_iter=50_000, thin=25, seed=11)
         )
         counts = res.k_counts()
         modes.append(max(counts, key=counts.get))
@@ -204,7 +204,7 @@ def test_criterion_7b_k1_grid_posterior_tv():
         lambda th: log_posterior_theta(sample, th, spec), n_grid=2000
     )
     res = cm.run_chain(
-        sample, spec, cm.RwmConfig(n_iter=200_000, thin=10, seed=4), k=1
+        sample, spec, cm.ChainConfig(n_iter=200_000, thin=10, seed=4), k=1
     )
     bins = np.linspace(0.0, 1.0, 41)
     chain_hist, _ = np.histogram(res.theta_matrix()[:, 0], bins=bins)
@@ -226,7 +226,7 @@ def test_criterion_7c_rjmcmc_prior_recovery():
     lam = 2.0
     spec = cm.ModelSpec(n_eval=25, lam=lam)
     res = cm.run_rjmcmc(
-        sample, spec, cm.RjmcmcConfig(n_iter=150_000, thin=10, seed=5),
+        sample, spec, cm.ChainConfig(n_iter=150_000, thin=10, seed=5),
         prior_only=True,
     )
     ks = res.ks
@@ -247,13 +247,13 @@ def test_criterion_7d_conditioned_rjmcmc_matches_fixed_k(sine100):
     fixed = cm.run_chain(
         sine100,
         cm.ModelSpec(n_eval=100),
-        cm.RwmConfig(n_iter=400_000, thin=2000, seed=21),
+        cm.ChainConfig(n_iter=400_000, thin=2000, seed=21),
         k=4,
     )
     rj = cm.run_rjmcmc(
         sine100,
         cm.ModelSpec(n_eval=100, lam=1e-6),
-        cm.RjmcmcConfig(n_iter=600_000, thin=3000, seed=22),
+        cm.ChainConfig(n_iter=600_000, thin=3000, seed=22),
     )
     a = rj.select_k(4).theta_matrix()
     b = fixed.theta_matrix()
@@ -311,7 +311,7 @@ def test_optional_mouse_vertebra_mean():
     res = cm.run_chain(
         sample,
         cm.ModelSpec(n_eval=100, topology=cm.CLOSED),
-        cm.RwmConfig(n_iter=100_000, thin=100, seed=7),
+        cm.ChainConfig(n_iter=100_000, thin=100, seed=7),
         k=4,
     )
     aligned = cm.align_posterior_samples(res)

@@ -186,6 +186,26 @@ class TestAlignPosteriorSamples:
                 want = oracles.best_cyclic_rotation(th, ref)
                 np.testing.assert_allclose(got, want, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_bitwise_equal_to_loop_oracle(self, k, rng):
+        # draws on a grid of eighths, where distances are exact and several
+        # rotations often tie for the lowest cost, then continuous draws
+        coarse = np.sort(rng.integers(0, 8, (300, k)) / 8.0, axis=1)
+        smooth = np.sort(rng.uniform(0.0, 1.0, (300, k)), axis=1)
+        thetas = list(np.vstack([coarse, smooth]))
+        out = cm.align_posterior_samples(self._sample_set(thetas))
+        want = oracles.align_posterior_thetas(thetas)
+        assert len(out.thetas) == len(want)
+        for got, exp in zip(out.thetas, want):
+            assert np.array_equal(got, exp)
+        ref = thetas[0]
+        ties = 0
+        for th in coarse[1:]:
+            d = [np.abs(np.roll(th, -r) - ref) for r in range(k)]
+            cost = np.array([np.minimum(x, 1.0 - x).sum() for x in d])
+            ties += np.sum(cost == cost.min()) > 1
+        assert ties > 20
+
     def test_idempotent(self, rng):
         k = 5
         ref = np.sort(rng.uniform(0.0, 1.0, k))

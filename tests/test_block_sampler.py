@@ -25,14 +25,14 @@ def closed_sample(n_eval):
 
 def rwm_case(sample, k, prior_only=False, **cfg):
     spec = cm.ModelSpec(n_eval=sample.grid.n_eval, topology=sample.grid.topology)
-    return sample, spec, cm.RwmConfig(thin=7, **cfg), k, False, prior_only
+    return sample, spec, cm.ChainConfig(thin=7, **cfg), k, False, prior_only
 
 
 def rjmcmc_case(sample, lam, prior_only=False, **cfg):
     spec = cm.ModelSpec(
         n_eval=sample.grid.n_eval, topology=sample.grid.topology, lam=lam, k_max=12
     )
-    return sample, spec, cm.RjmcmcConfig(thin=7, **cfg), None, True, prior_only
+    return sample, spec, cm.ChainConfig(thin=7, **cfg), None, True, prior_only
 
 
 CASES = {

@@ -41,6 +41,20 @@ class TestRunConfig:
         with pytest.raises(cm.InputError):
             cm.RunConfig.from_json("{not json")
 
+    def test_spec_and_chain_take_the_shared_fields(self):
+        cfg = cm.RunConfig(
+            topology=cm.CLOSED, n_eval=80, a=1.5, b=0.25, alpha=2.0, lam=0.1,
+            n_iter=5000, burn_in_frac=0.3, thin=7, proposal_var=0.01, seed=42,
+        )
+        assert cfg.spec() == cm.ModelSpec(
+            n_eval=80, topology=cm.CLOSED, a=1.5, b=0.25, alpha=2.0, lam=0.1
+        )
+        assert cfg.chain() == cm.ChainConfig(
+            n_iter=5000, burn_in_frac=0.3, thin=7, proposal_var=0.01, seed=42
+        )
+        with pytest.raises(ValueError):
+            cm.RunConfig(thin=0).chain()
+
 
 class TestCurveCsv:
     def test_single_file_roundtrip(self, tmp_path):

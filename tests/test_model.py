@@ -130,8 +130,8 @@ class TestLogPosterior:
         spec = make_spec(alpha=1.0)
         a = cm.LandmarkConfig(np.array([0.12, 0.37, 0.63, 0.88]))
         b = cm.LandmarkConfig(np.array([0.2, 0.4, 0.6, 0.8]))
-        dp = cm.log_posterior(sine_sample_100, a, spec) - cm.log_posterior(
-            sine_sample_100, b, spec
+        dp = cm.log_posterior_theta(sine_sample_100, a.theta, spec) - (
+            cm.log_posterior_theta(sine_sample_100, b.theta, spec)
         )
         dl = cm.log_marginal_likelihood(sine_sample_100, a, spec) - cm.log_marginal_likelihood(
             sine_sample_100, b, spec
@@ -172,8 +172,8 @@ class TestLogPosterior:
         ]
         moved = cm.CurveSample.build(shifted, sine_sample_100.grid)
         cfg = cm.LandmarkConfig(np.array([0.12, 0.37, 0.63, 0.88]))
-        d1 = cm.log_posterior(sine_sample_100, cfg, spec)
-        d2 = cm.log_posterior(moved, cfg, spec)
+        d1 = cm.log_posterior_theta(sine_sample_100, cfg.theta, spec)
+        d2 = cm.log_posterior_theta(moved, cfg.theta, spec)
         assert d2 == pytest.approx(d1, abs=1e-8)
 
     def test_larger_b_flattens_likelihood(self, sine_sample_100):
@@ -188,21 +188,6 @@ class TestLogPosterior:
             d0, flat, 1
         )
         assert abs(slope_flat) < abs(slope_tight)
-
-
-class TestPrecisionSampling:
-    def test_full_conditional_moments(self, small_sample_25):
-        spec = make_spec(n_eval=25, a=2.0, b=0.5)
-        cfg = cm.LandmarkConfig(np.array([0.125, 0.375, 0.625, 0.875]))
-        total = cm.total_reconstruction_error_sq(small_sample_25, cfg.theta)
-        rng = np.random.default_rng(42)
-        draws = np.array(
-            [cm.sample_precision(rng, small_sample_25, cfg, spec) for _ in range(4000)]
-        )
-        shape = spec.a + 25
-        rate = spec.b + total
-        assert draws.mean() == pytest.approx(shape / rate, rel=0.05)
-        assert draws.var() == pytest.approx(shape / rate**2, rel=0.2)
 
 
 class TestCurveSample:

@@ -17,16 +17,6 @@ def polyline_sample(n_eval=25):
 THIRDS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
-class TestRjmcmcConfig:
-    def test_move_probs_validated(self):
-        with pytest.raises(ValueError):
-            cm.RjmcmcConfig(move_probs=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            cm.RjmcmcConfig(move_probs=(0.7, 0.4, -0.1))
-        with pytest.raises(ValueError):
-            cm.RjmcmcConfig(move_probs=(0.5, 0.4, 0.3))
-
-
 class TestMoveProbabilities:
     def test_interior(self):
         assert move_probabilities(5, 1, THIRDS) == pytest.approx(THIRDS)
@@ -128,7 +118,7 @@ class TestRunRjmcmc:
     def test_deterministic_under_seed(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25, lam=1.0)
-        cfg = cm.RjmcmcConfig(n_iter=3000, thin=10, seed=21)
+        cfg = cm.ChainConfig(n_iter=3000, thin=10, seed=21)
         a = cm.run_rjmcmc(sample, spec, cfg)
         b = cm.run_rjmcmc(sample, spec, cfg)
         assert np.array_equal(a.ks, b.ks)
@@ -138,7 +128,7 @@ class TestRunRjmcmc:
     def test_states_stay_valid(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25, lam=2.0, k_max=12)
-        cfg = cm.RjmcmcConfig(n_iter=5000, thin=5, seed=2)
+        cfg = cm.ChainConfig(n_iter=5000, thin=5, seed=2)
         res = cm.run_rjmcmc(sample, spec, cfg)
         assert res.ks.min() >= 1 and res.ks.max() <= 12
         for th in res.thetas:
@@ -149,7 +139,7 @@ class TestRunRjmcmc:
         sample = polyline_sample()
         lam = 2.0
         spec = cm.ModelSpec(n_eval=25, lam=lam)
-        cfg = cm.RjmcmcConfig(n_iter=150_000, thin=10, seed=5)
+        cfg = cm.ChainConfig(n_iter=150_000, thin=10, seed=5)
         res = cm.run_rjmcmc(sample, spec, cfg, prior_only=True)
         ks = res.ks
         assert ks.mean() == pytest.approx(1.0 + lam, abs=0.1)
@@ -175,10 +165,10 @@ class TestRunRjmcmc:
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25, lam=0.5)
         rj = cm.run_rjmcmc(
-            sample, spec, cm.RjmcmcConfig(n_iter=200_000, thin=300, seed=3)
+            sample, spec, cm.ChainConfig(n_iter=200_000, thin=300, seed=3)
         )
         fixed = cm.run_chain(
-            sample, spec, cm.RwmConfig(n_iter=150_000, thin=300, seed=8), k=2
+            sample, spec, cm.ChainConfig(n_iter=150_000, thin=300, seed=8), k=2
         )
         a = rj.select_k(2).theta_matrix()
         b = fixed.theta_matrix()

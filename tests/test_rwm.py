@@ -13,23 +13,30 @@ def polyline_sample(n_eval=25):
     return cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, cm.OPEN))
 
 
-class TestRwmConfig:
+class TestChainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            cm.RwmConfig(n_iter=100)
+            cm.ChainConfig(n_iter=100)
         with pytest.raises(ValueError):
-            cm.RwmConfig(burn_in_frac=1.0)
+            cm.ChainConfig(burn_in_frac=1.0)
         with pytest.raises(ValueError):
-            cm.RwmConfig(thin=0)
+            cm.ChainConfig(thin=0)
         with pytest.raises(ValueError):
-            cm.RwmConfig(proposal_var=0.0)
+            cm.ChainConfig(proposal_var=0.0)
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.5, 0.5))
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.7, 0.4, -0.1))
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.5, 0.4, 0.3))
 
     def test_defaults(self):
-        cfg = cm.RwmConfig()
+        cfg = cm.ChainConfig()
         assert cfg.n_iter == 100_000
         assert cfg.burn_in_frac == 0.1
         assert cfg.thin == 100
         assert cfg.proposal_var == 0.02
+        assert cfg.move_probs == (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 class TestPosteriorSampleSet:
@@ -116,7 +123,7 @@ class TestRunChain:
     def test_deterministic_under_seed(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25)
-        cfg = cm.RwmConfig(n_iter=2000, thin=10, seed=11)
+        cfg = cm.ChainConfig(n_iter=2000, thin=10, seed=11)
         a = cm.run_chain(sample, spec, cfg, k=2)
         b = cm.run_chain(sample, spec, cfg, k=2)
         assert a.accept_rate == b.accept_rate
@@ -127,7 +134,7 @@ class TestRunChain:
     def test_burn_in_and_thinning_counts(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25)
-        cfg = cm.RwmConfig(n_iter=5000, burn_in_frac=0.2, thin=50, seed=1)
+        cfg = cm.ChainConfig(n_iter=5000, burn_in_frac=0.2, thin=50, seed=1)
         res = cm.run_chain(sample, spec, cfg, k=2)
         assert res.n == 80  # (5000 - 1000) / 50
         assert np.all(res.ks == 2)
@@ -135,12 +142,12 @@ class TestRunChain:
     def test_requires_k_without_init(self):
         sample = polyline_sample()
         with pytest.raises(ValueError):
-            cm.run_chain(sample, cm.ModelSpec(n_eval=25), cm.RwmConfig(n_iter=1000))
+            cm.run_chain(sample, cm.ModelSpec(n_eval=25), cm.ChainConfig(n_iter=1000))
 
     def test_explicit_init_is_respected(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25)
-        cfg = cm.RwmConfig(n_iter=1000, burn_in_frac=0.0, thin=1000, seed=5)
+        cfg = cm.ChainConfig(n_iter=1000, burn_in_frac=0.0, thin=1000, seed=5)
         init = cm.LandmarkConfig(np.array([0.4, 0.6]))
         res = cm.run_chain(sample, spec, cfg, init=init)
         assert res.n >= 1 and np.all(res.ks == 2)
@@ -150,7 +157,7 @@ class TestRunChain:
         # Dirichlet, whose component means are 1/p
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25, alpha=1.0)
-        cfg = cm.RwmConfig(n_iter=100_000, thin=10, proposal_var=0.02, seed=5)
+        cfg = cm.ChainConfig(n_iter=100_000, thin=10, proposal_var=0.02, seed=5)
         res = cm.run_chain(sample, spec, cfg, k=3, prior_only=True)
         s = np.array(
             [cm.reconstruct.spacing_from_theta(th, cm.OPEN) for th in res.thetas]
@@ -176,7 +183,7 @@ class TestRunChain:
 
     def test_sine_posterior_quick(self, sine_sample_100):
         spec = cm.ModelSpec(n_eval=100)
-        cfg = cm.RwmConfig(n_iter=30_000, thin=30, seed=2)
+        cfg = cm.ChainConfig(n_iter=30_000, thin=30, seed=2)
         res = cm.run_chain(sine_sample_100, spec, cfg, k=4)
         means = res.theta_matrix().mean(axis=0)
         np.testing.assert_allclose(means, [0.125, 0.375, 0.625, 0.875], atol=0.01)
@@ -189,7 +196,7 @@ class TestRunChain:
             return log_posterior_theta(sample, th, spec)
 
         centers, probs = oracles.grid_posterior_k1(logpost, n_grid=2000)
-        cfg = cm.RwmConfig(n_iter=200_000, thin=10, seed=4)
+        cfg = cm.ChainConfig(n_iter=200_000, thin=10, seed=4)
         res = cm.run_chain(sample, spec, cfg, k=1)
         draws = res.theta_matrix()[:, 0]
         bins = np.linspace(0.0, 1.0, 41)

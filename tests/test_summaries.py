@@ -133,7 +133,7 @@ class TestDistanceCriterion:
         line = cm.PlanarCurve(np.column_stack([t, np.zeros_like(t)]))
         sample = cm.CurveSample.build([line], cm.EvaluationGrid(100, cm.OPEN))
         spec = cm.ModelSpec(n_eval=100)
-        cfg = cm.RwmConfig(n_iter=2000, thin=20, seed=0)
+        cfg = cm.ChainConfig(n_iter=2000, thin=20, seed=0)
         table = cm.distance_criterion(sample, spec, [1, 2, 3], cfg)
         for _, d in table:
             assert d < 1e-10
@@ -142,7 +142,7 @@ class TestDistanceCriterion:
         # five random smooth open curves; averaging over the posterior makes
         # d_k^2 decrease in k up to Monte-Carlo noise
         spec = cm.ModelSpec(n_eval=50)
-        cfg = cm.RwmConfig(n_iter=8000, thin=20, seed=10)
+        cfg = cm.ChainConfig(n_iter=8000, thin=20, seed=10)
         for _ in range(5):
             t = np.linspace(0.0, 1.0, 120)
             y = np.sum(
@@ -176,7 +176,7 @@ class TestDistanceCriterion:
         spec = cm.ModelSpec(n_eval=25)
         for base in (0, 1):
             cm.distance_criterion(
-                small_sample_25, spec, [1, 2, 3], cm.RwmConfig(seed=base)
+                small_sample_25, spec, [1, 2, 3], cm.ChainConfig(seed=base)
             )
         assert seeds[(0, 2)] != seeds[(1, 1)]
         assert len(set(seeds.values())) == len(seeds)
@@ -195,7 +195,7 @@ class TestDistanceCriterion:
         spec = cm.ModelSpec(n_eval=200, topology=cm.CLOSED)
         tracemalloc.start()
         try:
-            (_, d), = cm.distance_criterion(sample, spec, [10], cm.RwmConfig())
+            (_, d), = cm.distance_criterion(sample, spec, [10], cm.ChainConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
