@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .curves import CLOSED
 from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
 from .rwm import (
     ChainConfig,
@@ -52,22 +51,16 @@ def _jump_log_ratios(k: int, topology: str, move_probs: tuple) -> tuple[float, f
     return birth, float(np.log(pb_prev) + np.log(float(k)) - np.log(pd))
 
 
-def propose_birth(
-    theta: np.ndarray,
-    rng: np.random.Generator,
-    spec: ModelSpec,
-    move_probs,
-    guard: bool = True,
-):
+def propose_birth(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
     """Insert a uniform new landmark; returns the grown vector and the log
     proposal ratio for the acceptance test.
 
-    With ``guard`` on, draws colliding with an existing landmark (within the
-    grid-resolution spacing) are redrawn; such states carry zero likelihood
-    anyway.  The guard is dropped in prior-only validation runs to keep the
-    proposal density exactly uniform.
+    The location is uniform on [0, 1) even where it falls within the
+    grid-resolution spacing of a landmark: the log posterior rejects such
+    states, and redrawing them instead would bias the birth density away
+    from the one the acceptance ratio assumes.
     """
-    return _birth(theta, rng, spec, move_probs, guard)
+    return _birth(theta, rng, spec, move_probs)
 
 
 def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
@@ -80,18 +73,9 @@ def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, 
 # chain iteration (see rwm._run_path).
 
 
-def _birth(theta, rng, spec, move_probs, guard):
+def _birth(theta, rng, spec, move_probs):
     th = theta.tolist()
     u = rng.random()
-    if guard:
-        closed = spec.topology == CLOSED
-        for _ in range(100):
-            gaps = [abs(t - u) for t in th]
-            if closed:
-                gaps = [min(d, 1.0 - d) for d in gaps]
-            if min(gaps) >= spec.min_spacing:
-                break
-            u = rng.random()
     log_ratio = _jump_log_ratios(len(th), spec.topology, tuple(move_probs))[0]
     bisect.insort(th, u)
     return np.array(th), log_ratio
@@ -132,7 +116,6 @@ def run_rjmcmc(
     rng = np.random.default_rng(cfg.seed)
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
-    guard = not prior_only
 
     def choose(th):
         """Draw the move: 0 birth, 1 death, 2 stay."""
@@ -143,7 +126,7 @@ def run_rjmcmc(
     def draw(th):
         move = choose(th)
         if move == 0:
-            return _birth(th, rng, spec, cfg.move_probs, guard)
+            return _birth(th, rng, spec, cfg.move_probs)
         if move == 1:
             return _death(th, rng, spec, cfg.move_probs)
         return _propose_stay(th, rng, spec.topology, sd), 0.0
@@ -163,7 +146,7 @@ def run_rjmcmc(
                 logp_new=logp_new,
             )
         if move == 0:
-            prop, log_ratio = propose_birth(th, rng, spec, cfg.move_probs, guard=guard)
+            prop, log_ratio = propose_birth(th, rng, spec, cfg.move_probs)
         else:
             prop, log_ratio = propose_death(th, rng, spec, cfg.move_probs)
         if logp_new is None:

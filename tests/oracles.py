@@ -131,6 +131,30 @@ def shifted_poisson_pmf(k, lam, k_min, k_max):
     return float(p[k - k_min])
 
 
+def k_posterior_prior_mc(sample, spec, n_draws, seed):
+    """p(k | y) for k = 1 .. k_max on an open-curve sample: the truncated
+    shifted-Poisson prior times a Monte Carlo estimate of each k's marginal
+    likelihood, the mean over Dirichlet prior draws of (b + D)^-(a + NM)
+    (the factor that depends on the landmarks), where a draw with a
+    spacing below 1/(4N) counts as 0."""
+    from curvemark.model import total_reconstruction_error_sq_batch
+
+    rng = np.random.default_rng(seed)
+    shape = spec.a + spec.n_eval * sample.m
+    ks = np.arange(1, spec.k_max + 1)
+    log_p = []
+    for k in ks:
+        s = rng.dirichlet(np.full(k + 1, spec.alpha), size=n_draws)
+        ok = s.min(axis=1) >= 1.0 / (4.0 * spec.n_eval)
+        theta = np.cumsum(s[ok], axis=1)[:, :-1]
+        terms = -shape * np.log(spec.b + total_reconstruction_error_sq_batch(sample, theta))
+        peak = terms.max()
+        log_z = peak + np.log(np.exp(terms - peak).sum() / n_draws)
+        log_p.append(np.log(shifted_poisson_pmf(k, spec.lam, 1, spec.k_max)) + log_z)
+    p = np.exp(np.array(log_p) - max(log_p))
+    return p / p.sum()
+
+
 def sort_quantile(x, q):
     """Linear-interpolation quantile computed from an explicit sort."""
     xs = np.sort(np.asarray(x, dtype=float))
@@ -228,15 +252,7 @@ def one_at_a_time_chain(sample, spec, cfg, k=None, variable_k=False, prior_only=
             u = rng.uniform()
             move = "birth" if u < pb else "death" if u < pb + pd else "stay"
         if move == "birth":
-            v = rng.uniform()
-            while not prior_only:
-                d = np.abs(theta - v)
-                if closed:
-                    d = np.minimum(d, 1.0 - d)
-                if np.min(d) >= spec.min_spacing:
-                    break
-                v = rng.uniform()
-            prop = np.sort(np.append(theta, v))
+            prop = np.sort(np.append(theta, rng.uniform()))
             log_ratio = np.log(probs(kk + 1)[1]) - np.log(kk + 1.0) - np.log(probs(kk)[0])
         elif move == "death":
             prop = np.delete(theta, int(rng.integers(kk)))

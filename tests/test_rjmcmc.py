@@ -74,12 +74,18 @@ class TestBirthDeathProposals:
         _, lr_death = cm.propose_death(grown, np.random.default_rng(1), spec, THIRDS)
         assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
 
-    def test_birth_guard_avoids_collisions(self):
-        spec = cm.ModelSpec(n_eval=100)
-        theta = np.linspace(0.05, 0.95, 10)
-        for seed in range(50):
-            new, _ = cm.propose_birth(theta, np.random.default_rng(seed), spec, THIRDS)
-            assert np.min(np.diff(new)) >= spec.min_spacing
+    def test_births_land_near_a_landmark_at_the_uniform_rate(self):
+        # the birth location is uniform: it falls within min_spacing of the
+        # landmark at 0.5 with probability 2 min_spacing, and is not redrawn
+        spec = cm.ModelSpec(n_eval=16)
+        rng = np.random.default_rng(0)
+        n = 10_000
+        near = 0
+        for _ in range(n):
+            new, _ = cm.propose_birth(np.array([0.5]), rng, spec, THIRDS)
+            near += np.min(np.abs(new[new != 0.5] - 0.5)) < spec.min_spacing
+        rate = 2.0 * spec.min_spacing
+        assert abs(near / n - rate) <= 4.0 * np.sqrt(rate * (1.0 - rate) / n)
 
     def test_acceptance_matches_hand_computation(self, sine_sample_100):
         # birth acceptance = min{1, exp(delta log posterior) * p_d(k+1) /
@@ -158,6 +164,23 @@ class TestRunRjmcmc:
             expected, observed = expected[:-1], observed[:-1]
         stat, p = stats.chisquare(observed, expected * observed.sum() / expected.sum())
         assert p > 0.01
+
+    def test_k_marginal_matches_prior_monte_carlo(self):
+        # likelihood on: the chain's k frequencies must match p(k | y),
+        # computed from p(k) and a prior Monte Carlo estimate of each k's
+        # marginal likelihood (p(3 | y) = 0.577).  The pooled frequencies of
+        # three 200k-iteration chains lie within 0.005 of it; a birth move
+        # that redraws locations near a landmark gives about 0.597 instead
+        curve = cm.rescale_unit_length(cm.sine_curve(200), 16)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(16, cm.OPEN))
+        spec = cm.ModelSpec(n_eval=16, b=1.0, lam=1.0, k_max=3)
+        want = oracles.k_posterior_prior_mc(sample, spec, n_draws=200_000, seed=0)
+        ks = np.concatenate([
+            cm.run_rjmcmc(sample, spec, cm.ChainConfig(n_iter=200_000, thin=10, seed=s)).ks
+            for s in (1, 2, 3)
+        ])
+        got = np.array([np.mean(ks == k) for k in (1, 2, 3)])
+        np.testing.assert_allclose(got, want, atol=0.009)
 
     def test_conditioned_on_k_matches_fixed_k_chain(self):
         # weak-data regime keeps both chains mobile, making the comparison
