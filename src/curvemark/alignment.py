@@ -82,9 +82,9 @@ def align_posterior_samples(samples: PosteriorSampleSet) -> PosteriorSampleSet:
     circular distance to the first sample.
 
     Only the k cyclic rotations are searched; landmark order around a closed
-    curve is cyclic by construction.  All rotations of all samples are
-    scored as one (n, k, k) array.  Ties break toward the smallest rotation
-    offset, which makes the operation idempotent.
+    curve is cyclic by construction.  Each rotation is scored for all
+    samples at once.  Ties break toward the smallest rotation offset, which
+    makes the operation idempotent.
     """
     if samples.topology != CLOSED:
         raise ValueError("posterior alignment applies to closed-curve samples")
@@ -94,8 +94,9 @@ def align_posterior_samples(samples: PosteriorSampleSet) -> PosteriorSampleSet:
         raise ValueError("posterior alignment requires a fixed landmark count")
     th = np.array(samples.thetas)
     n, k = th.shape
-    # rotations[i, r] is sample i rolled left by r
-    rotations = th[:, (np.arange(k)[:, None] + np.arange(k)) % k]
-    cost = circular_component_distance(rotations, th[0]).sum(axis=2)
-    best = rotations[np.arange(n), cost.argmin(axis=1)]
+    rolls = (np.arange(k)[:, None] + np.arange(k)) % k  # row r rolls left by r
+    cost = np.column_stack(
+        [circular_component_distance(th[:, roll], th[0]).sum(axis=1) for roll in rolls]
+    )
+    best = th[np.arange(n)[:, None], rolls[cost.argmin(axis=1)]]
     return replace(samples, thetas=list(best))
