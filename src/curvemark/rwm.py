@@ -1,4 +1,6 @@
-"""Random-walk Metropolis sampler over landmark locations for fixed k."""
+"""Random-walk Metropolis sampler over landmark locations for fixed k,
+and what it shares with the reversible-jump sampler: the chain settings,
+the start path and the iteration loop."""
 
 from __future__ import annotations
 
