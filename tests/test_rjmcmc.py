@@ -17,6 +17,18 @@ def polyline_sample(n_eval=25):
 THIRDS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
+class TestRjmcmcConfig:
+    """The ChainConfig field only the RJMCMC sampler reads."""
+
+    def test_move_probs_validated(self):
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.5, 0.5))
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.7, 0.4, -0.1))
+        with pytest.raises(ValueError):
+            cm.ChainConfig(move_probs=(0.5, 0.4, 0.3))
+
+
 class TestMoveProbabilities:
     def test_interior(self):
         assert move_probabilities(5, 1, THIRDS) == pytest.approx(THIRDS)

@@ -13,7 +13,9 @@ def polyline_sample(n_eval=25):
     return cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, cm.OPEN))
 
 
-class TestChainConfig:
+class TestRwmConfig:
+    """The ChainConfig fields the fixed-k random-walk sampler reads."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cm.ChainConfig(n_iter=100)
@@ -23,12 +25,6 @@ class TestChainConfig:
             cm.ChainConfig(thin=0)
         with pytest.raises(ValueError):
             cm.ChainConfig(proposal_var=0.0)
-        with pytest.raises(ValueError):
-            cm.ChainConfig(move_probs=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            cm.ChainConfig(move_probs=(0.7, 0.4, -0.1))
-        with pytest.raises(ValueError):
-            cm.ChainConfig(move_probs=(0.5, 0.4, 0.3))
 
     def test_defaults(self):
         cfg = cm.ChainConfig()
