@@ -19,7 +19,6 @@ from .curves import (
     CurveError,
     EvaluationGrid,
     PlanarCurve,
-    Srvf,
     compute_srvf,
     discrete_curvature,
     evaluate_at,
@@ -42,13 +41,11 @@ from .model import (
     total_reconstruction_error_sq_batch,
 )
 from .reconstruct import (
-    LandmarkConfig,
     LandmarkError,
-    SpacingVector,
     linear_reconstruction,
-    reconstruction_error_sq,
+    spacing_from_theta,
     spacing_to_theta,
-    theta_to_spacing,
+    theta_is_valid,
 )
 from .rjmcmc import propose_birth, propose_death, run_rjmcmc
 from .rwm import ChainConfig, PosteriorSampleSet, run_chain, rwm_step
@@ -65,14 +62,11 @@ __all__ = [
     "CurveSample",
     "EvaluationGrid",
     "InputError",
-    "LandmarkConfig",
     "LandmarkError",
     "ModelSpec",
     "PlanarCurve",
     "PosteriorSampleSet",
     "RunConfig",
-    "SpacingVector",
-    "Srvf",
     "align_posterior_samples",
     "align_sample_starts",
     "circular_component_distance",
@@ -98,7 +92,6 @@ __all__ = [
     "propose_birth",
     "propose_death",
     "read_samples_csv",
-    "reconstruction_error_sq",
     "resample",
     "rescale_unit_length",
     "run_chain",
@@ -107,10 +100,11 @@ __all__ = [
     "scaled_sine_family",
     "select_reference_point",
     "sine_curve",
+    "spacing_from_theta",
     "spacing_to_theta",
     "srvf_to_curve",
     "summarize",
-    "theta_to_spacing",
+    "theta_is_valid",
     "total_reconstruction_error_sq",
     "total_reconstruction_error_sq_batch",
 ]

@@ -63,9 +63,9 @@ def align_sample_starts(sample: CurveSample) -> CurveSample:
     first = sample.curves[0]
     i0 = select_reference_point(first)
     aligned = [_shift_start(first, i0 / first.n_points)]
-    q_ref = compute_srvf(aligned[0], grid).values
+    q_ref = compute_srvf(aligned[0], grid)
     for curve, q in zip(sample.curves[1:], sample.srvfs[1:]):
-        m_best = best_start_offset(q.values, q_ref)
+        m_best = best_start_offset(q, q_ref)
         aligned.append(_shift_start(curve, m_best / grid.n_eval))
     return CurveSample.build(aligned, grid)
 

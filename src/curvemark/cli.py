@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -164,9 +163,7 @@ def cmd_criterion(args) -> int:
     k_lo, k_hi = cfg.k_range
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
     table = distance_criterion(sample, cfg.spec(), range(k_lo, k_hi + 1), cfg.chain())
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "dk2.csv")
-    write_dk2_csv(path, table)
+    path = write_dk2_csv(cfg.out_dir, table)
     for k, d in table:
         print(f"k={k}  dk2={d:.6g}")
     print(f"wrote: {path}")

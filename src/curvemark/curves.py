@@ -155,14 +155,6 @@ class EvaluationGrid:
         return self._dt
 
 
-@dataclass(frozen=True)
-class Srvf:
-    """Discrete square-root velocity field on an evaluation grid."""
-
-    values: np.ndarray  # (N, 2)
-    grid: EvaluationGrid
-
-
 def _param_derivative(vals: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
     # Centered differences; cyclic for closed curves, one-sided at open ends.
     if grid.topology == CLOSED:
@@ -178,20 +170,21 @@ def srvf_values(vals: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
     return np.where((speed >= ZERO_SPEED)[:, None], deriv / root[:, None], 0.0)
 
 
-def compute_srvf(curve: PlanarCurve, grid: EvaluationGrid) -> Srvf:
-    """Square-root velocity transform of a preprocessed curve."""
+def compute_srvf(curve: PlanarCurve, grid: EvaluationGrid) -> np.ndarray:
+    """Square-root velocity transform of a preprocessed curve: an (N, 2)
+    array of its values at the grid nodes."""
     if curve.topology != grid.topology:
         raise CurveError("curve and grid topology differ")
-    return Srvf(srvf_values(evaluate_at(curve, grid.nodes), grid), grid)
+    return srvf_values(evaluate_at(curve, grid.nodes), grid)
 
 
-def srvf_to_curve(q: Srvf, start=(0.0, 0.0)) -> PlanarCurve:
-    """Invert the square-root velocity map by cumulative trapezoidal
-    integration of q|q| from ``start``."""
-    v = q.values * np.linalg.norm(q.values, axis=1)[:, None]
-    step = 0.5 * (v[1:] + v[:-1]) * q.grid.dt
+def srvf_to_curve(q: np.ndarray, grid: EvaluationGrid, start=(0.0, 0.0)) -> PlanarCurve:
+    """Invert the square-root velocity map of the (N, 2) field ``q`` on
+    ``grid`` by cumulative trapezoidal integration of q|q| from ``start``."""
+    v = q * np.linalg.norm(q, axis=1)[:, None]
+    step = 0.5 * (v[1:] + v[:-1]) * grid.dt
     cum = np.vstack([np.zeros((1, 2)), np.cumsum(step, axis=0)])
-    return PlanarCurve(np.asarray(start, dtype=float) + cum, q.grid.topology)
+    return PlanarCurve(np.asarray(start, dtype=float) + cum, grid.topology)
 
 
 def discrete_curvature(curve: PlanarCurve) -> np.ndarray:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .alignment import align_sample_starts
 from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, PlanarCurve, rescale_unit_length
-from .model import CurveSample, ModelSpec
+from .model import CurveSample, ModelSpec, _stack_rows
+from .reconstruct import _row_spacings
 from .rwm import ChainConfig, PosteriorSampleSet
 
 
@@ -157,39 +160,97 @@ def write_samples_csv(path: str, samples: PosteriorSampleSet) -> None:
             writer.writerow(cells)
 
 
-def write_dk2_csv(path: str, table: list[tuple[int, float]]) -> None:
-    """Distance-criterion table: one ``k,dk2`` row per landmark count."""
-    with open(path, "w", newline="") as fh:
+@contextlib.contextmanager
+def _results_dir(out_dir: str):
+    """Create ``out_dir``; an OS error while creating it or writing under
+    it becomes an :class:`InputError`."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise InputError(f"failed writing results under {out_dir}: {exc}") from exc
+
+
+def write_dk2_csv(out_dir: str, table: list[tuple[int, float]]) -> str:
+    """Write the distance-criterion table ``dk2.csv`` into ``out_dir``, one
+    ``k,dk2`` row per landmark count; returns its path."""
+    path = os.path.join(out_dir, "dk2.csv")
+    with _results_dir(out_dir), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "dk2"])
         for k, d in table:
             writer.writerow([str(k), _fmt(d)])
+    return path
+
+
+# Rows per support check of a samples table, which keeps the check's
+# temporaries to about 2 MB whatever the table's length.
+_CHECK_ROWS = 8192
+
+
+def _min_first(th: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rotate the first ``ks[r]`` values of each row r cyclically so that
+    the row starts at its minimum; the padding after them repeats the new
+    last value."""
+    col = np.minimum(np.arange(th.shape[1]), ks[:, None] - 1)
+    at = (th.argmin(axis=1)[:, None] + col) % ks[:, None]
+    return th[np.arange(len(ks))[:, None], at]
 
 
 def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
     """Inverse of :func:`write_samples_csv`; acceptance rate is not stored
-    in the table and comes back as NaN."""
+    in the table and comes back as NaN.
+
+    Every row must have the header's cell count and hold landmarks in the
+    topology's support (:func:`~curvemark.reconstruct.theta_is_valid`);
+    closed rows may be stored in any cyclic rotation, as label alignment
+    leaves them.  Errors name the file and row.
+    """
     thetas: list[np.ndarray] = []
     ks: list[int] = []
     log_post: list[float] = []
-    with open(path, newline="") as fh:
+    linenos = array("l")
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
-            next(reader)
+            header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty samples table") from None
+        width = len(header) - 3  # landmark columns
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path}:{lineno}: {len(row)} cells, the header has {len(header)}"
+                )
             try:
                 k = int(row[1])
+                if not 1 <= k <= width or any(row[2 + k : -1]):
+                    raise ValueError
                 theta = np.array([float(c) for c in row[2 : 2 + k]])
                 lp = float(row[-1])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed samples row") from None
             thetas.append(theta)
             ks.append(k)
             log_post.append(lp)
+            linenos.append(lineno)
+    for start in range(0, len(thetas), _CHECK_ROWS):
+        th, row_ks = _stack_rows(thetas[start : start + _CHECK_ROWS])
+        if topology == CLOSED:
+            th = _min_first(th, row_ks)
+        bad = np.flatnonzero(~_row_spacings(th, row_ks, topology)[1])
+        if bad.size:
+            i = start + bad[0]
+            raise InputError(
+                f"{path}:{linenos[i]}: landmarks {thetas[i].tolist()} are outside"
+                f" the {topology}-curve support"
+            )
     return PosteriorSampleSet(
         thetas, np.asarray(ks, dtype=int), np.asarray(log_post), float("nan"), topology
     )
@@ -204,9 +265,8 @@ def persist_results(
 ) -> list[str]:
     """Write samples.csv, summary.json and density_<j>.csv into
     ``out_dir``; returns the written paths."""
-    os.makedirs(out_dir, exist_ok=True)
     written = []
-    try:
+    with _results_dir(out_dir):
         path = os.path.join(out_dir, "samples.csv")
         write_samples_csv(path, samples)
         written.append(path)
@@ -227,6 +287,4 @@ def persist_results(
                 for t, d in zip(grid, dens):
                     writer.writerow([_fmt(t), _fmt(d)])
             written.append(path)
-    except OSError as exc:
-        raise InputError(f"failed writing results under {out_dir}: {exc}") from exc
     return written

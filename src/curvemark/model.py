@@ -16,14 +16,11 @@ from .curves import OPEN, CurveError, EvaluationGrid, compute_srvf
 from .reconstruct import (
     CacheStack,
     CurveCache,
-    LandmarkConfig,
     LandmarkError,
-    SpacingVector,
     _error_sq_rows,
     _error_sq_sum,
     _min_count,
     _row_spacings,
-    _spacing_list,
     _valid_spacings,
 )
 
@@ -75,9 +72,10 @@ class ModelSpec:
 
 @dataclass
 class CurveSample:
-    """Preprocessed curves with cached SRVFs on a shared grid, plus the
-    per-curve buffers the likelihood reads (:class:`CurveCache`) and the
-    same buffers stacked for batched evaluation (:class:`CacheStack`)."""
+    """Preprocessed curves with their SRVFs on a shared grid (one (N, 2)
+    array per curve), plus the per-curve buffers the likelihood reads
+    (:class:`CurveCache`) and the same buffers stacked for batched
+    evaluation (:class:`CacheStack`)."""
 
     curves: list
     srvfs: list
@@ -94,7 +92,7 @@ class CurveSample:
             if c.topology != grid.topology:
                 raise CurveError("all curves must share the grid topology")
         srvfs = [compute_srvf(c, grid) for c in curves]
-        caches = [CurveCache(c, q.values) for c, q in zip(curves, srvfs)]
+        caches = [CurveCache(c, q) for c, q in zip(curves, srvfs)]
         return cls(curves, srvfs, grid, caches, CacheStack(caches))
 
     @property
@@ -117,7 +115,7 @@ def _log_dirichlet(s: list, alpha: float) -> float:
 
 def log_prior_spacing(s, spec: ModelSpec) -> float:
     """Log density of the symmetric Dirichlet at a spacing vector."""
-    vals = np.asarray(s.s if isinstance(s, SpacingVector) else s, dtype=float).ravel().tolist()
+    vals = np.asarray(s, dtype=float).ravel().tolist()
     if any(not v > 0.0 for v in vals):
         return NEG_INF
     return _log_dirichlet(vals, spec.alpha)
@@ -134,9 +132,15 @@ def log_prior_k(k: int, spec: ModelSpec) -> float:
 
 
 def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
-    """Sum of squared reconstruction errors over the sample's curves,
-    from each curve's cached prefix sums in O(k) (see
-    :class:`~curvemark.reconstruct.CurveCache`)."""
+    """Sum over the sample's curves of the squared reconstruction error:
+    the discrete squared L2 distance between the SRVFs of a curve and of
+    its linear reconstruction through the landmarks ``theta``, read from
+    each curve's cached prefix sums in O(k) (see
+    :class:`~curvemark.reconstruct.CurveCache`).
+
+    Both SRVFs come from the same centred finite differences on the grid
+    (one-sided at open ends), so the two sides share discretization bias.
+    """
     return _error_sq_sum(sample.caches, _floats(theta), sample.grid)
 
 
@@ -176,18 +180,23 @@ def _log_marginal_from_error(total_sq, spec: ModelSpec, m: int, log=math.log):
     return _log_marginal_const(spec, m) - shape * log(spec.b + total_sq)
 
 
-def log_marginal_likelihood(
-    sample: CurveSample, cfg: LandmarkConfig, spec: ModelSpec
-) -> float:
-    """Likelihood of the sample with the noise precision integrated out.
-
-    Configurations with any spacing below the grid-resolution guard are
-    assigned -inf.
-    """
-    th = cfg.theta.tolist()
-    if min(_spacing_list(th, cfg.topology)) < spec.min_spacing:
+def _log_likelihood(sample: CurveSample, th: list, s: list, spec: ModelSpec) -> float:
+    """Log marginal likelihood at a landmark list in the support, with
+    spacings ``s``: -inf when a spacing is below the grid-resolution guard."""
+    if min(s) < spec.min_spacing:
         return NEG_INF
     return _log_marginal_from_error(total_reconstruction_error_sq(sample, th), spec, sample.m)
+
+
+def log_marginal_likelihood(sample: CurveSample, theta, spec: ModelSpec) -> float:
+    """Likelihood of the sample with the noise precision integrated out.
+
+    Landmark vectors outside the support, or with any spacing below the
+    grid-resolution guard, are assigned -inf.
+    """
+    th = _floats(theta)
+    s = _valid_spacings(th, spec.topology)
+    return NEG_INF if s is None else _log_likelihood(sample, th, s, spec)
 
 
 def log_posterior_theta(
@@ -213,11 +222,7 @@ def log_posterior_theta(
     if lp == NEG_INF:
         return NEG_INF
     if include_likelihood:
-        if min(s) < spec.min_spacing:
-            return NEG_INF
-        lp += _log_marginal_from_error(
-            total_reconstruction_error_sq(sample, th), spec, sample.m
-        )
+        lp += _log_likelihood(sample, th, s, spec)
     return lp
 
 

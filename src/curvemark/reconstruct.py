@@ -5,19 +5,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    OPEN,
-    ZERO_SPEED,
-    EvaluationGrid,
-    PlanarCurve,
-    Srvf,
-    compute_srvf,
-    evaluate_at,
-)
+from .curves import OPEN, ZERO_SPEED, EvaluationGrid, PlanarCurve, evaluate_at
 
 
 class LandmarkError(ValueError):
@@ -71,85 +62,46 @@ def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
 
 
 def theta_is_valid(theta: np.ndarray, topology: str) -> bool:
-    """Validity predicate for a landmark vector."""
+    """Whether a landmark vector lies in the support of its topology.
+
+    Open curves need 0 < theta_1 < ... < theta_k < 1 with k >= 1.  Closed
+    curves need distinct values in [0, 1) sorted ascending, the cyclic
+    order implied, with k >= 3.
+    """
     return _valid_spacings(np.asarray(theta, dtype=float).ravel().tolist(), topology) is not None
 
 
-@dataclass(frozen=True)
-class LandmarkConfig:
-    """Ordered landmark locations theta on the curve domain.
-
-    Open curves require 0 < theta_1 < ... < theta_k < 1 with k >= 1.
-    Closed curves store distinct values in [0, 1) sorted ascending, with the
-    cyclic ordering implied, and require k >= 3.
-    """
-
-    theta: np.ndarray
-    topology: str = OPEN
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float).ravel()
-        if not theta_is_valid(th, self.topology):
-            raise LandmarkError(
-                f"invalid landmark vector for {self.topology} curve: {th}"
-            )
-        object.__setattr__(self, "theta", th)
-
-    @property
-    def k(self) -> int:
-        return self.theta.size
-
-
-@dataclass(frozen=True)
-class SpacingVector:
-    """Consecutive landmark spacings; lives on the probability simplex."""
-
-    s: np.ndarray
-    topology: str = OPEN
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float).ravel()
-        if np.any(s <= 0.0):
-            raise LandmarkError("spacing components must be positive")
-        if abs(s.sum() - 1.0) > 1e-9:
-            raise LandmarkError("spacing components must sum to 1")
-        object.__setattr__(self, "s", s)
-
-
 def spacing_from_theta(theta: np.ndarray, topology: str) -> np.ndarray:
-    """Consecutive differences of a sorted landmark vector (array level)."""
+    """Consecutive spacings of a sorted landmark vector, a point on the
+    probability simplex."""
     return np.array(_spacing_list(np.asarray(theta, dtype=float).ravel().tolist(), topology))
 
 
-def theta_to_spacing(cfg: LandmarkConfig) -> SpacingVector:
-    return SpacingVector(spacing_from_theta(cfg.theta, cfg.topology), cfg.topology)
-
-
-def spacing_to_theta(s: SpacingVector, start: float = 0.0) -> LandmarkConfig:
-    """Recover landmarks from spacings.
+def spacing_to_theta(s: np.ndarray, topology: str, start: float = 0.0) -> np.ndarray:
+    """Landmarks from spacings, the inverse of :func:`spacing_from_theta`.
 
     ``start`` anchors the first landmark on closed curves and is ignored for
-    open ones (implicitly 0).
+    open ones (implicitly 0).  The spacings are not validated.
     """
-    if s.topology == OPEN:
-        theta = np.cumsum(s.s)[:-1]
-    else:
-        theta = np.sort(
-            np.mod(start + np.concatenate([[0.0], np.cumsum(s.s[:-1])]), 1.0)
-        )
-    return LandmarkConfig(theta, s.topology)
+    if topology == OPEN:
+        return np.cumsum(s)[:-1]
+    return np.sort(np.mod(start + np.concatenate([[0.0], np.cumsum(s[:-1])]), 1.0))
 
 
-def reconstruction_values(
+def linear_reconstruction(
     curve: PlanarCurve, theta: np.ndarray, grid: EvaluationGrid
-) -> np.ndarray:
+) -> PlanarCurve:
     """Piecewise-linear reconstruction through the landmark images,
     evaluated at the grid nodes.
 
     Open curves get the two extra segments tying the reconstruction to the
     curve endpoints; closed curves get the wrap segment from the last
-    landmark back to the first.
+    landmark back to the first.  Raises :class:`LandmarkError` for a
+    landmark vector outside the support (:func:`theta_is_valid`).
     """
+    theta = np.asarray(theta, dtype=float).ravel()
+    if not theta_is_valid(theta, curve.topology):
+        raise LandmarkError(f"invalid landmark vector for {curve.topology} curve: {theta}")
     nodes = grid.nodes
     if curve.closed:
         anchors = evaluate_at(curve, theta)
@@ -160,13 +112,7 @@ def reconstruction_values(
         knot_xy = evaluate_at(curve, knot_t)
     x = np.interp(nodes, knot_t, knot_xy[:, 0])
     y = np.interp(nodes, knot_t, knot_xy[:, 1])
-    return np.column_stack([x, y])
-
-
-def linear_reconstruction(
-    curve: PlanarCurve, cfg: LandmarkConfig, grid: EvaluationGrid
-) -> PlanarCurve:
-    return PlanarCurve(reconstruction_values(curve, cfg.theta, grid), curve.topology)
+    return PlanarCurve(np.column_stack([x, y]), curve.topology)
 
 
 class CurveCache:
@@ -484,20 +430,3 @@ def _error_sq_sum(caches: list, th: list, grid: EvaluationGrid) -> float:
     closed = grid.topology != OPEN
     plan = _knot_plan(th, grid.n_eval, closed)
     return sum(_curve_error_sq(c, th, closed, plan) for c in caches) * grid.dt
-
-
-def reconstruction_error_sq(
-    curve: PlanarCurve,
-    cfg: LandmarkConfig,
-    grid: EvaluationGrid,
-    q_curve: Srvf | None = None,
-) -> float:
-    """Squared reconstruction error d^2 between a curve and its
-    landmark-based linear reconstruction, measured as the discrete squared
-    L2 distance between their square-root velocity fields.
-
-    Both SRVFs come from the same centred finite differences on the grid
-    (one-sided at open ends), so the two sides share discretization bias.
-    """
-    q = q_curve if q_curve is not None else compute_srvf(curve, grid)
-    return _error_sq_sum([CurveCache(curve, q.values)], cfg.theta.tolist(), grid)

@@ -109,7 +109,6 @@ def run_rjmcmc(
     sample: CurveSample,
     spec: ModelSpec,
     cfg: ChainConfig,
-    init=None,
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
     """Run the birth-death-stay chain over (k, theta)."""
@@ -160,7 +159,6 @@ def run_rjmcmc(
         spec,
         cfg,
         rng,
-        init,
         prior_only,
         variable_k=True,
         draw_prior=lambda: draw_initial_state(rng, spec),

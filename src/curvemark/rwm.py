@@ -12,6 +12,7 @@ import numpy as np
 
 from .curves import CLOSED
 from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_posterior_theta
+from .reconstruct import spacing_to_theta
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,9 @@ class PosteriorSampleSet:
 def draw_initial_theta(rng: np.random.Generator, spec: ModelSpec, k: int) -> np.ndarray:
     """Draw a landmark vector from the prior: spacings from the symmetric
     Dirichlet, plus a uniform anchor point on closed curves."""
-    if spec.topology == CLOSED:
-        s = rng.dirichlet(np.full(k, spec.alpha))
-        start = rng.uniform()
-        return np.sort(np.mod(start + np.concatenate([[0.0], np.cumsum(s[:-1])]), 1.0))
-    s = rng.dirichlet(np.full(k + 1, spec.alpha))
-    return np.cumsum(s)[:-1]
+    closed = spec.topology == CLOSED
+    s = rng.dirichlet(np.full(k if closed else k + 1, spec.alpha))
+    return spacing_to_theta(s, spec.topology, rng.uniform() if closed else 0.0)
 
 
 def _propose_stay(theta: np.ndarray, rng: np.random.Generator, topology: str, sd: float):
@@ -245,27 +243,23 @@ def _run_path(theta, logp, cfg, rng, step, draw, score):
     return kept_theta, kept_logp, accepted
 
 
-def _sample_chain(sample, spec, cfg, rng, init, prior_only, variable_k, draw_prior, step, draw):
-    """Start a chain and run it: from ``init`` if given, else from the first
-    of up to 100 prior draws ``draw_prior()`` with a finite posterior; then
-    ``_run_path`` with the moves ``step`` and ``draw``.  Returns the
-    retained draws as a sample set."""
+def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, step, draw):
+    """Start a chain from the first of up to 100 prior draws
+    ``draw_prior()`` with a finite posterior and run it: ``_run_path`` with
+    the moves ``step`` and ``draw``.  Returns the retained draws as a
+    sample set."""
 
     def logpost(th):
         return log_posterior_theta(
             sample, th, spec, variable_k=variable_k, include_likelihood=not prior_only
         )
 
-    if init is not None:
-        theta = np.asarray(init.theta, dtype=float)
+    logp = NEG_INF
+    for _ in range(100):
+        theta = draw_prior()
         logp = logpost(theta)
-    else:
-        logp = NEG_INF
-        for _ in range(100):
-            theta = draw_prior()
-            logp = logpost(theta)
-            if logp > NEG_INF:
-                break
+        if logp > NEG_INF:
+            break
     if logp == NEG_INF:
         raise RuntimeError("could not find an initial state with finite posterior")
 
@@ -292,18 +286,15 @@ def run_chain(
     sample: CurveSample,
     spec: ModelSpec,
     cfg: ChainConfig,
-    k: int | None = None,
-    init=None,
+    k: int,
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
-    """Run the fixed-k random-walk Metropolis chain.
+    """Run the fixed-k random-walk Metropolis chain with ``k`` landmarks,
+    started from a prior draw.
 
-    If ``init`` is None the state is drawn from the prior (``k`` required).
     Burn-in and thinning are applied to the returned sample set; the raw
     acceptance rate covers all iterations.
     """
-    if init is None and k is None:
-        raise ValueError("k is required when init is not given")
     rng = np.random.default_rng(cfg.seed)
     sd = math.sqrt(cfg.proposal_var)
     return _sample_chain(
@@ -311,7 +302,6 @@ def run_chain(
         spec,
         cfg,
         rng,
-        init,
         prior_only,
         variable_k=False,
         draw_prior=lambda: draw_initial_theta(rng, spec, k),

@@ -99,10 +99,8 @@ def test_criterion_3_shape_invariance(base_run, grid200, base_cfg):
     # translation: bitwise SRVF equality; coarse mantissas make the
     # translated coordinates exact so a bitwise test is well defined
     pts = np.round(base.points * 2**26) / 2**26
-    q0 = cm.compute_srvf(cm.PlanarCurve(pts, cm.OPEN), grid200).values
-    q1 = cm.compute_srvf(
-        cm.PlanarCurve(pts + np.array([1.25, -0.5]), cm.OPEN), grid200
-    ).values
+    q0 = cm.compute_srvf(cm.PlanarCurve(pts, cm.OPEN), grid200)
+    q1 = cm.compute_srvf(cm.PlanarCurve(pts + np.array([1.25, -0.5]), cm.OPEN), grid200)
     bitwise = np.array_equal(q0, q1)
 
     base_means = base_run.theta_matrix().mean(axis=0)

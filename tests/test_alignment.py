@@ -68,8 +68,8 @@ class TestBestStartOffset:
         sample = cm.CurveSample.build(curves, cm.EvaluationGrid(n_eval, cm.CLOSED))
         for q_ref in sample.srvfs:
             for q in sample.srvfs:
-                want = oracles.best_start_offset(q.values, q_ref.values)
-                assert cm.alignment.best_start_offset(q.values, q_ref.values) == want
+                want = oracles.best_start_offset(q, q_ref)
+                assert cm.alignment.best_start_offset(q, q_ref) == want
 
     @pytest.mark.parametrize("p, n_eval", [(4, 64), (5, 100), (6, 60)])
     def test_matches_direct_search_on_tied_offsets(self, p, n_eval):
@@ -77,9 +77,9 @@ class TestBestStartOffset:
         # symmetry two offsets tie up to rounding
         grid = cm.EvaluationGrid(n_eval, cm.CLOSED)
         t = np.arange(n_eval) / n_eval
-        q_ref = cm.compute_srvf(regular_polygon(p, t), grid).values
+        q_ref = cm.compute_srvf(regular_polygon(p, t), grid)
         for shift in (0.5, 7.5, 20.5):
-            q = cm.compute_srvf(regular_polygon(p, t + shift / n_eval), grid).values
+            q = cm.compute_srvf(regular_polygon(p, t + shift / n_eval), grid)
             costs = np.sort(
                 [np.sum((np.roll(q, -m, axis=0) - q_ref) ** 2) for m in range(n_eval)]
             )
@@ -115,12 +115,12 @@ class TestAlignSampleStarts:
         sample = cm.CurveSample.build(curves, grid)
         aligned = cm.align_sample_starts(sample)
         # independent exhaustive search against the aligned first curve
-        q_ref = cm.compute_srvf(aligned.curves[0], grid).values
+        q_ref = cm.compute_srvf(aligned.curves[0], grid)
         for orig, got in zip(sample.curves[1:], aligned.curves[1:]):
             best_m, best_cost = 0, np.inf
             for m in range(100):
                 cand = _shift_start(orig, m / 100)
-                q = cm.compute_srvf(cand, grid).values
+                q = cm.compute_srvf(cand, grid)
                 cost = float(((q - q_ref) ** 2).sum())
                 if cost < best_cost:
                     best_m, best_cost = m, cost

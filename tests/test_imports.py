@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import curvemark as cm
 
@@ -23,3 +24,14 @@ def test_import_leaves_scipy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_all_lists_every_public_name():
+    # a name deleted from a module but left in __all__ (so it no longer
+    # resolves), or bound but not exported, shows up here
+    bound = {
+        name
+        for name, value in vars(cm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(cm.__all__) == sorted(bound)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestLoadCurves:
         sample = cm.load_curves([path], cm.OPEN, 100)
         assert sample.m == 1
         assert cm.polygonal_length(sample.curves[0]) == pytest.approx(1.0, abs=1e-9)
-        assert sample.srvfs[0].values.shape == (100, 2)
+        assert sample.srvfs[0].shape == (100, 2)
 
     def test_closed_duplicate_endpoint_dropped(self, tmp_path):
         curve = cm.half_circle(100)
@@ -130,26 +131,74 @@ class TestLoadCurves:
 
 
 class TestSamplesPersistence:
-    def _samples(self, rng, variable_k=False):
+    def _samples(self, rng, variable_k=False, topology=cm.OPEN):
         thetas = []
         for _ in range(30):
-            k = int(rng.integers(2, 6)) if variable_k else 4
-            thetas.append(np.sort(rng.uniform(0.01, 0.99, k)))
+            if topology == cm.OPEN:
+                k = int(rng.integers(2, 6)) if variable_k else 4
+                thetas.append(np.sort(rng.uniform(0.01, 0.99, k)))
+            else:
+                k = int(rng.integers(3, 7)) if variable_k else 4
+                thetas.append(np.sort(rng.uniform(0.0, 1.0, k)))
         ks = np.array([t.size for t in thetas])
         return cm.PosteriorSampleSet(
-            thetas, ks, rng.normal(size=30), 0.25, cm.OPEN
+            thetas, ks, rng.normal(size=30), 0.25, topology
         )
 
     def test_roundtrip_bitwise(self, tmp_path, rng):
-        for variable_k in (False, True):
-            ss = self._samples(rng, variable_k)
-            path = str(tmp_path / f"s{variable_k}.csv")
+        cases = [(self._samples(rng, variable_k), cm.OPEN) for variable_k in (False, True)]
+        # label alignment stores closed rows rotated, no longer sorted
+        rotated = cm.align_posterior_samples(self._samples(rng, topology=cm.CLOSED))
+        assert any(np.any(np.diff(th) < 0) for th in rotated.thetas)
+        cases.append((rotated, cm.CLOSED))
+        cases.append((self._samples(rng, True, cm.CLOSED), cm.CLOSED))
+        for i, (ss, topology) in enumerate(cases):
+            path = str(tmp_path / f"s{i}.csv")
             write_samples_csv(path, ss)
-            back = cm.read_samples_csv(path)
+            back = cm.read_samples_csv(path, topology)
             assert np.array_equal(back.ks, ss.ks)
             assert np.array_equal(back.log_post, ss.log_post)
             for a, b in zip(back.thetas, ss.thetas):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,3,0.2,0.5,-1.5",
+            "1,2,0.7,0.3,-1.5",
+            "1,2,0.1,1.7,-1.5",
+            "1,2,0.2,0.5",
+            "1,1,0.2,0.5,-1.5",
+        ],
+        ids=["k-past-header", "unordered", "outside-support", "short-row", "landmark-past-k"],
+    )
+    def test_rows_outside_header_or_support_rejected(self, tmp_path, row):
+        path = tmp_path / "samples.csv"
+        path.write_text("iteration,k,theta_1,theta_2,log_post\n0,2,0.2,0.5,-1.0\n" + row + "\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{path}:3:")):
+            cm.read_samples_csv(str(path))
+        assert main(["summarize", "--samples", str(path), "--out-dir", str(tmp_path)]) == 1
+
+    def test_missing_table_exit_code_1(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.csv")
+        with pytest.raises(cm.InputError, match=re.escape(path)):
+            cm.read_samples_csv(path)
+        assert main(["summarize", "--samples", path, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    def test_closed_rows_any_rotation_of_the_support(self, tmp_path, monkeypatch):
+        # two rows per check, so the bad row is found in a later chunk
+        monkeypatch.setattr(cm.io, "_CHECK_ROWS", 2)
+        path = tmp_path / "samples.csv"
+        header = "iteration,k,theta_1,theta_2,theta_3,log_post\n"
+        rows = "0,3,0.2,0.5,0.8,-1\n1,3,0.8,0.2,0.5,-1\n2,3,0.5,0.8,0.2,-1\n"
+        path.write_text(header + rows)
+        assert cm.read_samples_csv(str(path), cm.CLOSED).n == 3
+        # sorted in no rotation, below the closed minimum count, a repeated value
+        for bad in ("3,3,0.5,0.2,0.8,-1", "3,2,0.2,0.5,,-1", "3,3,0.2,0.2,0.8,-1"):
+            path.write_text(header + rows + bad + "\n")
+            with pytest.raises(cm.InputError, match=re.escape(f"{path}:5:")):
+                cm.read_samples_csv(str(path), cm.CLOSED)
 
     def test_summary_echoes_config(self, tmp_path, rng):
         ss = self._samples(rng)
@@ -313,6 +362,27 @@ class TestCli:
             record = json.load(fh, parse_constant=reject)
         # the table does not store the acceptance rate
         assert record["accept_rate"] is None
+
+    @pytest.mark.parametrize("command", ["run-fixed", "criterion"])
+    def test_out_dir_that_is_a_file_exits_1(self, tmp_path, capsys, command):
+        flags = {"run-fixed": ["--k", "2"], "criterion": ["--k-min", "1", "--k-max", "2"]}
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(
+            [
+                command,
+                "--curves", curve_path,
+                *flags[command],
+                "--n-eval", "50",
+                "--n-iter", "1000",
+                "--thin", "10",
+                "--seed", "1",
+                "--out-dir", str(taken),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: failed writing results under {taken}")
 
     def test_generate_family_writes_suffixed_files(self, tmp_path):
         out = str(tmp_path / "fam.csv")

@@ -116,22 +116,21 @@ class TestMarginalLikelihood:
     def test_min_spacing_guard(self, small_sample_25):
         spec = make_spec(n_eval=25)
         theta = np.array([0.5, 0.5 + 0.5 * spec.min_spacing])
-        cfg = cm.LandmarkConfig(theta)
-        assert cm.log_marginal_likelihood(small_sample_25, cfg, spec) == -np.inf
+        assert cm.log_marginal_likelihood(small_sample_25, theta, spec) == -np.inf
 
     def test_finite_above_guard(self, small_sample_25):
         spec = make_spec(n_eval=25)
-        cfg = cm.LandmarkConfig(np.array([0.3, 0.7]))
-        assert np.isfinite(cm.log_marginal_likelihood(small_sample_25, cfg, spec))
+        theta = np.array([0.3, 0.7])
+        assert np.isfinite(cm.log_marginal_likelihood(small_sample_25, theta, spec))
 
 
 class TestLogPosterior:
     def test_uniform_prior_cancels_in_differences(self, sine_sample_100):
         spec = make_spec(alpha=1.0)
-        a = cm.LandmarkConfig(np.array([0.12, 0.37, 0.63, 0.88]))
-        b = cm.LandmarkConfig(np.array([0.2, 0.4, 0.6, 0.8]))
-        dp = cm.log_posterior_theta(sine_sample_100, a.theta, spec) - (
-            cm.log_posterior_theta(sine_sample_100, b.theta, spec)
+        a = np.array([0.12, 0.37, 0.63, 0.88])
+        b = np.array([0.2, 0.4, 0.6, 0.8])
+        dp = cm.log_posterior_theta(sine_sample_100, a, spec) - (
+            cm.log_posterior_theta(sine_sample_100, b, spec)
         )
         dl = cm.log_marginal_likelihood(sine_sample_100, a, spec) - cm.log_marginal_likelihood(
             sine_sample_100, b, spec
@@ -148,8 +147,8 @@ class TestLogPosterior:
         want = (
             cm.log_prior_k(4, spec)
             - cm.log_prior_k(3, spec)
-            + cm.log_prior_spacing(cm.reconstruct.spacing_from_theta(th4, cm.OPEN), spec)
-            - cm.log_prior_spacing(cm.reconstruct.spacing_from_theta(th3, cm.OPEN), spec)
+            + cm.log_prior_spacing(cm.spacing_from_theta(th4, cm.OPEN), spec)
+            - cm.log_prior_spacing(cm.spacing_from_theta(th3, cm.OPEN), spec)
             + _log_marginal_from_error(
                 cm.total_reconstruction_error_sq(sine_sample_100, th4), spec, 1
             )
@@ -171,9 +170,9 @@ class TestLogPosterior:
             for c in sine_sample_100.curves
         ]
         moved = cm.CurveSample.build(shifted, sine_sample_100.grid)
-        cfg = cm.LandmarkConfig(np.array([0.12, 0.37, 0.63, 0.88]))
-        d1 = cm.log_posterior_theta(sine_sample_100, cfg.theta, spec)
-        d2 = cm.log_posterior_theta(moved, cfg.theta, spec)
+        theta = np.array([0.12, 0.37, 0.63, 0.88])
+        d1 = cm.log_posterior_theta(sine_sample_100, theta, spec)
+        d2 = cm.log_posterior_theta(moved, theta, spec)
         assert d2 == pytest.approx(d1, abs=1e-8)
 
     def test_larger_b_flattens_likelihood(self, sine_sample_100):
@@ -193,7 +192,7 @@ class TestLogPosterior:
 class TestCurveSample:
     def test_caches_srvfs(self, sine_sample_100):
         assert sine_sample_100.m == 1
-        assert sine_sample_100.srvfs[0].values.shape == (100, 2)
+        assert sine_sample_100.srvfs[0].shape == (100, 2)
 
     def test_topology_mismatch(self):
         grid = cm.EvaluationGrid(100, cm.CLOSED)

@@ -13,36 +13,41 @@ def straight_line(n=64):
     return cm.PlanarCurve(np.column_stack([t, np.zeros_like(t)]))
 
 
+def closed_curve(n=100):
+    return cm.rescale_unit_length(cm.half_circle(120), n)
+
+
 class TestLandmarkConfig:
+    """The landmark support rule: theta_is_valid, enforced at the boundary
+    by linear_reconstruction."""
+
     def test_open_ordering_enforced(self):
-        cm.LandmarkConfig(np.array([0.2, 0.5, 0.9]))
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([0.5, 0.2]))
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([0.0, 0.5]))
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([0.5, 1.0]))
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([]))
+        curve, grid = straight_line(), cm.EvaluationGrid(64, cm.OPEN)
+        assert cm.theta_is_valid(np.array([0.2, 0.5, 0.9]), cm.OPEN)
+        cm.linear_reconstruction(curve, np.array([0.2, 0.5, 0.9]), grid)
+        for theta in ([0.5, 0.2], [0.0, 0.5], [0.5, 1.0], []):
+            assert not cm.theta_is_valid(np.array(theta), cm.OPEN)
+            with pytest.raises(cm.LandmarkError):
+                cm.linear_reconstruction(curve, np.array(theta), grid)
 
     def test_closed_needs_three(self):
-        cm.LandmarkConfig(np.array([0.0, 0.4, 0.8]), cm.CLOSED)
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([0.2, 0.7]), cm.CLOSED)
-        with pytest.raises(cm.LandmarkError):
-            cm.LandmarkConfig(np.array([0.1, 0.1, 0.5]), cm.CLOSED)
+        curve, grid = closed_curve(), cm.EvaluationGrid(100, cm.CLOSED)
+        assert cm.theta_is_valid(np.array([0.0, 0.4, 0.8]), cm.CLOSED)
+        cm.linear_reconstruction(curve, np.array([0.0, 0.4, 0.8]), grid)
+        for theta in ([0.2, 0.7], [0.1, 0.1, 0.5]):
+            assert not cm.theta_is_valid(np.array(theta), cm.CLOSED)
+            with pytest.raises(cm.LandmarkError):
+                cm.linear_reconstruction(curve, np.array(theta), grid)
 
 
 class TestSpacingMaps:
     def test_open_spacing(self):
-        cfg = cm.LandmarkConfig(np.array([0.25, 0.75]))
-        s = cm.theta_to_spacing(cfg)
-        np.testing.assert_allclose(s.s, [0.25, 0.5, 0.25], atol=1e-15)
+        s = cm.spacing_from_theta(np.array([0.25, 0.75]), cm.OPEN)
+        np.testing.assert_allclose(s, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_closed_spacing_wraps(self):
-        cfg = cm.LandmarkConfig(np.array([0.1, 0.5, 0.8]), cm.CLOSED)
-        s = cm.theta_to_spacing(cfg)
-        np.testing.assert_allclose(s.s, [0.4, 0.3, 0.3], atol=1e-15)
+        s = cm.spacing_from_theta(np.array([0.1, 0.5, 0.8]), cm.CLOSED)
+        np.testing.assert_allclose(s, [0.4, 0.3, 0.3], atol=1e-15)
 
     def test_open_roundtrip_exact(self):
         rng = np.random.default_rng(7)
@@ -51,31 +56,24 @@ class TestSpacingMaps:
             theta = np.sort(rng.uniform(0.01, 0.99, k))
             if k > 1 and np.min(np.diff(theta)) < 1e-4:
                 continue
-            cfg = cm.LandmarkConfig(theta)
-            back = cm.spacing_to_theta(cm.theta_to_spacing(cfg))
-            np.testing.assert_allclose(back.theta, theta, atol=1e-12)
+            back = cm.spacing_to_theta(cm.spacing_from_theta(theta, cm.OPEN), cm.OPEN)
+            np.testing.assert_allclose(back, theta, atol=1e-12)
 
     def test_spacing_to_theta_open(self):
-        s = cm.SpacingVector(np.array([0.25, 0.5, 0.25]))
-        np.testing.assert_allclose(cm.spacing_to_theta(s).theta, [0.25, 0.75])
+        s = np.array([0.25, 0.5, 0.25])
+        np.testing.assert_allclose(cm.spacing_to_theta(s, cm.OPEN), [0.25, 0.75])
 
     def test_spacing_to_theta_closed_with_start(self):
-        s = cm.SpacingVector(np.array([0.4, 0.3, 0.3]), cm.CLOSED)
+        s = np.array([0.4, 0.3, 0.3])
         np.testing.assert_allclose(
-            cm.spacing_to_theta(s, start=0.1).theta, [0.1, 0.5, 0.8], atol=1e-15
+            cm.spacing_to_theta(s, cm.CLOSED, start=0.1), [0.1, 0.5, 0.8], atol=1e-15
         )
 
     def test_spacing_to_theta_closed_wrap_case(self):
-        s = cm.SpacingVector(np.array([0.4, 0.3, 0.3]), cm.CLOSED)
+        s = np.array([0.4, 0.3, 0.3])
         np.testing.assert_allclose(
-            cm.spacing_to_theta(s, start=0.9).theta, [0.3, 0.6, 0.9], atol=1e-12
+            cm.spacing_to_theta(s, cm.CLOSED, start=0.9), [0.3, 0.6, 0.9], atol=1e-12
         )
-
-    def test_simplex_validation(self):
-        with pytest.raises(cm.LandmarkError):
-            cm.SpacingVector(np.array([0.5, 0.6]))
-        with pytest.raises(cm.LandmarkError):
-            cm.SpacingVector(np.array([1.2, -0.2]))
 
 
 class TestLinearReconstruction:
@@ -83,9 +81,7 @@ class TestLinearReconstruction:
         curve = straight_line()
         grid = cm.EvaluationGrid(64, cm.OPEN)
         for theta in ([0.5], [0.2, 0.4, 0.9]):
-            rec = cm.linear_reconstruction(
-                curve, cm.LandmarkConfig(np.array(theta)), grid
-            )
+            rec = cm.linear_reconstruction(curve, np.array(theta), grid)
             np.testing.assert_allclose(rec.points, curve.points, atol=1e-12)
 
     def test_landmarks_at_every_vertex(self):
@@ -94,8 +90,7 @@ class TestLinearReconstruction:
         pts = np.array([[0.0, 0.0], [0.25, 0.3], [0.5, 0.1], [0.75, 0.4], [1.0, 0.0]])
         curve = cm.PlanarCurve(pts)
         grid = cm.EvaluationGrid(17, cm.OPEN)
-        cfg = cm.LandmarkConfig(np.array([0.25, 0.5, 0.75]))
-        rec = cm.linear_reconstruction(curve, cfg, grid)
+        rec = cm.linear_reconstruction(curve, np.array([0.25, 0.5, 0.75]), grid)
         want = cm.evaluate_at(curve, grid.nodes)
         np.testing.assert_allclose(rec.points, want, atol=1e-12)
 
@@ -103,31 +98,27 @@ class TestLinearReconstruction:
         curve = cm.rescale_unit_length(cm.sine_curve(200), 200)
         grid = cm.EvaluationGrid(200, cm.OPEN)
         theta = np.array([0.125, 0.375, 0.625, 0.875])
-        rec = cm.linear_reconstruction(curve, cm.LandmarkConfig(theta), grid)
+        rec = cm.linear_reconstruction(curve, theta, grid)
         want = oracles.piecewise_linear_reconstruction(
             curve.points, cm.OPEN, theta, grid.nodes
         )
         np.testing.assert_allclose(rec.points, want, atol=1e-12)
 
     def test_closed_matches_independent_interpolator(self):
-        curve = cm.rescale_unit_length(cm.half_circle(120), 100)
+        curve = closed_curve()
         grid = cm.EvaluationGrid(100, cm.CLOSED)
         theta = np.array([0.05, 0.3, 0.55, 0.9])
-        rec = cm.linear_reconstruction(
-            curve, cm.LandmarkConfig(theta, cm.CLOSED), grid
-        )
+        rec = cm.linear_reconstruction(curve, theta, grid)
         want = oracles.piecewise_linear_reconstruction(
             curve.points, cm.CLOSED, theta, grid.nodes
         )
         np.testing.assert_allclose(rec.points, want, atol=1e-12)
 
     def test_closed_wrap_segment_is_linear(self):
-        curve = cm.rescale_unit_length(cm.half_circle(120), 100)
+        curve = closed_curve()
         grid = cm.EvaluationGrid(100, cm.CLOSED)
         theta = np.array([0.2, 0.5, 0.7])
-        rec = cm.linear_reconstruction(
-            curve, cm.LandmarkConfig(theta, cm.CLOSED), grid
-        )
+        rec = cm.linear_reconstruction(curve, theta, grid)
         # nodes in the wrap span (0.7, 1) + (0, 0.2) must lie on the chord
         a = cm.evaluate_at(curve, 0.7)
         b = cm.evaluate_at(curve, 0.2)
@@ -138,62 +129,60 @@ class TestLinearReconstruction:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def error_sq(curve, theta, grid):
+    """Squared reconstruction error of one curve."""
+    return cm.total_reconstruction_error_sq(cm.CurveSample.build([curve], grid), theta)
+
+
 class TestReconstructionError:
     def test_zero_for_exactly_linear_curve(self):
         curve = straight_line()
         grid = cm.EvaluationGrid(64, cm.OPEN)
-        cfg = cm.LandmarkConfig(np.array([0.3, 0.6]))
-        assert cm.reconstruction_error_sq(curve, cfg, grid) == pytest.approx(0.0, abs=1e-20)
+        assert error_sq(curve, np.array([0.3, 0.6]), grid) == pytest.approx(0.0, abs=1e-20)
 
     def test_good_config_beats_poor_config(self):
         # landmarks at the sine extrema capture the shape; clustered
         # landmarks miss most of it
         curve = cm.rescale_unit_length(cm.sine_curve(200), 200)
-        grid = cm.EvaluationGrid(200, cm.OPEN)
-        good = cm.LandmarkConfig(np.array([0.125, 0.375, 0.625, 0.875]))
-        poor = cm.LandmarkConfig(np.array([0.01, 0.02, 0.03, 0.04]))
-        d_good = cm.reconstruction_error_sq(curve, good, grid)
-        d_poor = cm.reconstruction_error_sq(curve, poor, grid)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(200, cm.OPEN))
+        good = np.array([0.125, 0.375, 0.625, 0.875])
+        poor = np.array([0.01, 0.02, 0.03, 0.04])
+        d_good = cm.total_reconstruction_error_sq(sample, good)
+        d_poor = cm.total_reconstruction_error_sq(sample, poor)
         assert d_poor > 5.0 * d_good
 
     def test_matches_brute_force_oracle(self):
         curve = cm.rescale_unit_length(cm.sine_curve(200), 200)
         theta = np.array([0.125, 0.375, 0.625, 0.875])
-        got = cm.reconstruction_error_sq(
-            curve, cm.LandmarkConfig(theta), cm.EvaluationGrid(200, cm.OPEN)
-        )
+        got = error_sq(curve, theta, cm.EvaluationGrid(200, cm.OPEN))
         want = oracles.reconstruction_error_sq(curve.points, cm.OPEN, theta, 200)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_matches_brute_force_oracle_closed(self):
-        curve = cm.rescale_unit_length(cm.half_circle(120), 64)
+        curve = closed_curve(64)
         theta = np.array([0.1, 0.42, 0.77])
-        got = cm.reconstruction_error_sq(
-            curve,
-            cm.LandmarkConfig(theta, cm.CLOSED),
-            cm.EvaluationGrid(64, cm.CLOSED),
-        )
+        got = error_sq(curve, theta, cm.EvaluationGrid(64, cm.CLOSED))
         want = oracles.reconstruction_error_sq(curve.points, cm.CLOSED, theta, 64)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_nonnegative_on_random_configs(self, rng):
         curve = cm.rescale_unit_length(cm.sine_curve(200), 100)
-        grid = cm.EvaluationGrid(100, cm.OPEN)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(100, cm.OPEN))
         for _ in range(50):
             k = int(rng.integers(1, 8))
             theta = np.sort(rng.uniform(0.02, 0.98, k))
             if k > 1 and np.min(np.diff(theta)) < 1e-3:
                 continue
-            d = cm.reconstruction_error_sq(curve, cm.LandmarkConfig(theta), grid)
+            d = cm.total_reconstruction_error_sq(sample, theta)
             assert d >= 0.0
 
     def test_translation_invariance(self):
         base = cm.rescale_unit_length(cm.sine_curve(200), 100)
         shifted = cm.PlanarCurve(base.points + np.array([2.0, -1.0]), cm.OPEN)
         grid = cm.EvaluationGrid(100, cm.OPEN)
-        cfg = cm.LandmarkConfig(np.array([0.125, 0.375, 0.625, 0.875]))
-        d1 = cm.reconstruction_error_sq(base, cfg, grid)
-        d2 = cm.reconstruction_error_sq(shifted, cfg, grid)
+        theta = np.array([0.125, 0.375, 0.625, 0.875])
+        d1 = error_sq(base, theta, grid)
+        d2 = error_sq(shifted, theta, grid)
         assert d2 == pytest.approx(d1, abs=1e-12)
 
     def test_rotation_invariance(self):
@@ -202,29 +191,27 @@ class TestReconstructionError:
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         rotated = cm.PlanarCurve(base.points @ rot.T, cm.OPEN)
         grid = cm.EvaluationGrid(100, cm.OPEN)
-        cfg = cm.LandmarkConfig(np.array([0.125, 0.375, 0.625, 0.875]))
-        d1 = cm.reconstruction_error_sq(base, cfg, grid)
-        d2 = cm.reconstruction_error_sq(rotated, cfg, grid)
+        theta = np.array([0.125, 0.375, 0.625, 0.875])
+        d1 = error_sq(base, theta, grid)
+        d2 = error_sq(rotated, theta, grid)
         assert d2 == pytest.approx(d1, abs=1e-9)
 
     def test_extra_landmark_can_only_help_at_best(self, rng):
         # the best augmented configuration containing the old landmarks
         # never does worse than the old configuration
         curve = cm.rescale_unit_length(cm.sine_curve(200), 100)
-        grid = cm.EvaluationGrid(100, cm.OPEN)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(100, cm.OPEN))
         for _ in range(5):
             theta = np.sort(rng.uniform(0.05, 0.95, 3))
             if np.min(np.diff(theta)) < 0.05:
                 continue
-            base = cm.reconstruction_error_sq(curve, cm.LandmarkConfig(theta), grid)
+            base = cm.total_reconstruction_error_sq(sample, theta)
             candidates = []
             for t_new in np.linspace(0.01, 0.99, 197):
                 aug = np.sort(np.append(theta, t_new))
                 if np.min(np.diff(aug)) < 1e-3:
                     continue
-                candidates.append(
-                    cm.reconstruction_error_sq(curve, cm.LandmarkConfig(aug), grid)
-                )
+                candidates.append(cm.total_reconstruction_error_sq(sample, aug))
             assert min(candidates) <= base + 1e-12
 
 
@@ -265,7 +252,7 @@ def sweep_thetas(topology, n_eval, rng):
     valid = []
     for th in out:
         th = np.unique(th)
-        if cm.reconstruct.theta_is_valid(th, topology):
+        if cm.theta_is_valid(th, topology):
             valid.append(th)
     return valid
 
@@ -305,7 +292,7 @@ class TestSegmentEngine:
     )
     def test_matches_per_node_oracle_property(self, topology, n_eval, theta):
         th = np.unique(theta)
-        assume(cm.reconstruct.theta_is_valid(th, topology))
+        assume(cm.theta_is_valid(th, topology))
         curve = sweep_curve(topology, 90)
         sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
         fast = cm.total_reconstruction_error_sq(sample, th)

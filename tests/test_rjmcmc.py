@@ -150,7 +150,7 @@ class TestRunRjmcmc:
         res = cm.run_rjmcmc(sample, spec, cfg)
         assert res.ks.min() >= 1 and res.ks.max() <= 12
         for th in res.thetas:
-            assert cm.reconstruct.theta_is_valid(th, cm.OPEN)
+            assert cm.theta_is_valid(th, cm.OPEN)
 
     def test_prior_recovery_shifted_poisson(self):
         # constant likelihood: retained k must follow k_min + Poisson(lam)
