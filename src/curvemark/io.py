@@ -137,11 +137,16 @@ def load_curves(paths, topology: str, n_eval: int) -> CurveSample:
 
 
 def write_curve_csv(path: str, curve: PlanarCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in curve.points:
-            writer.writerow([_fmt(x), _fmt(y)])
+    """Write one curve as CSV with an ``x,y`` header; an OS error becomes
+    an :class:`InputError` naming ``path``."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y"])
+            for x, y in curve.points:
+                writer.writerow([_fmt(x), _fmt(y)])
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_samples_csv(path: str, samples: PosteriorSampleSet) -> None:

@@ -7,6 +7,7 @@ marginalized analytically against its Gamma prior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,8 +110,9 @@ def _dirichlet_norm(p: int, alpha: float) -> float:
     return math.lgamma(p * alpha) - p * math.lgamma(alpha)
 
 
-def _log_dirichlet(s: list, alpha: float) -> float:
-    return _dirichlet_norm(len(s), alpha) + (alpha - 1.0) * sum(map(math.log, s))
+def _dirichlet_sum(s: list, alpha: float) -> float:
+    """The spacing-dependent part of the Dirichlet log density."""
+    return (alpha - 1.0) * sum(map(math.log, s))
 
 
 def log_prior_spacing(s, spec: ModelSpec) -> float:
@@ -118,7 +120,7 @@ def log_prior_spacing(s, spec: ModelSpec) -> float:
     vals = np.asarray(s, dtype=float).ravel().tolist()
     if any(not v > 0.0 for v in vals):
         return NEG_INF
-    return _log_dirichlet(vals, spec.alpha)
+    return _dirichlet_norm(len(vals), spec.alpha) + _dirichlet_sum(vals, spec.alpha)
 
 
 def log_prior_k(k: int, spec: ModelSpec) -> float:
@@ -129,6 +131,26 @@ def log_prior_k(k: int, spec: ModelSpec) -> float:
     if nu < 0 or k > spec.k_max:
         return NEG_INF
     return nu * math.log(spec.lam) - spec.lam - math.lgamma(nu + 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _k_terms(spec: ModelSpec, n: int, variable_k: bool):
+    """The per-k constants of the log posterior for k < n, computed once:
+    the Dirichlet log normalizer of k landmarks' spacings and, in
+    variable-k mode, :func:`log_prior_k` (0 otherwise); -inf below the
+    minimum landmark count.  Returned as the two lists and as one (2, n)
+    array for indexing by a batch's landmark counts."""
+    k_min = k_min_for(spec.topology)
+    gaps = 1 if spec.topology == OPEN else 0  # spacings less landmarks
+    norms = [_dirichlet_norm(k + gaps, spec.alpha) if k >= k_min else NEG_INF for k in range(n)]
+    priors = [log_prior_k(k, spec) if variable_k else 0.0 for k in range(n)]
+    return norms, priors, np.array([norms, priors])
+
+
+def _terms_size(spec: ModelSpec, k: int) -> int:
+    """The ``n`` of :func:`_k_terms` covering landmark counts up to ``k``:
+    one table per spec unless a fixed-k chain runs beyond ``k_max``."""
+    return max(spec.k_max, k) + 2
 
 
 def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
@@ -167,6 +189,7 @@ def _error_sq_chunked(sample: CurveSample, th: np.ndarray, ks: np.ndarray) -> np
     ])
 
 
+@functools.lru_cache(maxsize=64)
 def _log_marginal_const(spec: ModelSpec, m: int) -> float:
     nm = spec.n_eval * m
     a, b = spec.a, spec.b
@@ -216,9 +239,11 @@ def log_posterior_theta(
     s = _valid_spacings(th, spec.topology)
     if s is None:
         return NEG_INF
-    lp = _log_dirichlet(s, spec.alpha)
+    k = len(th)
+    norms, priors, _ = _k_terms(spec, _terms_size(spec, k), variable_k)
+    lp = norms[k] + _dirichlet_sum(s, spec.alpha)
     if variable_k:
-        lp += log_prior_k(len(th), spec)
+        lp += priors[k]
     if lp == NEG_INF:
         return NEG_INF
     if include_likelihood:
@@ -257,18 +282,20 @@ def log_posterior_batch(
     summation differs.
     """
     th, ks = _stack_rows(thetas)
+    return _log_posterior_rows(sample, th, ks, spec, variable_k, include_likelihood)
+
+
+def _log_posterior_rows(sample, th, ks, spec, variable_k, include_likelihood):
+    """:func:`log_posterior_batch` of the rows of a (B, K) array, row r
+    holding ``ks[r]`` landmarks padded with its last one (the layout of
+    :func:`_stack_rows`)."""
     s, valid = _row_spacings(th, ks, spec.topology)
-    counts = ks.tolist()
-    # the Dirichlet normalizer of each landmark count in the batch
-    norm = {}
-    for k in set(ks[valid].tolist()):
-        norm[k] = _dirichlet_norm(k + 1 if spec.topology == OPEN else k, spec.alpha)
-    lp = np.array([norm.get(k, NEG_INF) for k in counts])
+    terms = _k_terms(spec, _terms_size(spec, int(ks.max())), variable_k)[2][:, ks]
+    lp = terms[0]
     if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
         lp += (spec.alpha - 1.0) * np.log(np.where(valid[:, None], s, 1.0)).sum(axis=1)
     if variable_k:
-        prior = {k: log_prior_k(k, spec) for k in norm}
-        lp += np.array([prior.get(k, NEG_INF) for k in counts])
+        lp += terms[1]
     valid &= lp > NEG_INF
     if include_likelihood:
         valid &= s.min(axis=1) >= spec.min_spacing

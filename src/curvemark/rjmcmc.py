@@ -15,13 +15,15 @@ import math
 
 import numpy as np
 
+from .curves import CLOSED
 from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
 from .rwm import (
     ChainConfig,
     PosteriorSampleSet,
     _decide,
-    _propose_stay,
     _sample_chain,
+    _pick_index,
+    _stay_values,
     draw_initial_theta,
     rwm_step,
 )
@@ -51,44 +53,61 @@ def _jump_log_ratios(k: int, topology: str, move_probs: tuple) -> tuple[float, f
     return birth, float(np.log(pb_prev) + np.log(float(k)) - np.log(pd))
 
 
-def propose_birth(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
-    """Insert a uniform new landmark; returns the grown vector and the log
-    proposal ratio for the acceptance test.
+def propose_birth(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
+    """Insert a new landmark at ``where``, the iteration's uniform location
+    on [0, 1) (see ``rwm._random_table``); returns the grown vector and the
+    log proposal ratio for the acceptance test.
 
     The location is uniform on [0, 1) even where it falls within the
     grid-resolution spacing of a landmark: the log posterior rejects such
     states, and redrawing them instead would bias the birth density away
     from the one the acceptance ratio assumes.
     """
-    return _birth(theta, rng, spec, move_probs)
-
-
-def propose_death(theta: np.ndarray, rng: np.random.Generator, spec: ModelSpec, move_probs):
-    """Remove a uniformly chosen landmark; reciprocal of the matched birth."""
-    return _death(theta, rng, spec, move_probs)
-
-
-# The bodies of propose_birth and propose_death.  The samplers' block loop
-# draws ahead with these, so that the public move functions run once per
-# chain iteration (see rwm._run_path).
-
-
-def _birth(theta, rng, spec, move_probs):
     th = theta.tolist()
-    u = rng.random()
     log_ratio = _jump_log_ratios(len(th), spec.topology, tuple(move_probs))[0]
-    bisect.insort(th, u)
+    bisect.insort(th, where)
     return np.array(th), log_ratio
 
 
-def _death(theta, rng, spec, move_probs):
+def propose_death(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
+    """Remove the landmark ``where`` picks, index ``min(floor(where * k),
+    k - 1)``: uniformly chosen for ``where`` uniform on [0, 1).  Reciprocal
+    of the matched birth."""
     k = theta.size
     log_ratio = _jump_log_ratios(k, spec.topology, tuple(move_probs))[1]
     if log_ratio == NEG_INF:
         raise ValueError("death move proposed at the minimum landmark count")
     th = theta.tolist()
-    del th[int(rng.integers(k))]
+    del th[_pick_index(where, k)]
     return np.array(th), log_ratio
+
+
+def _jump_block(theta, block, sd, topology, move_probs):
+    """The proposals of a table slice as :func:`propose_birth`,
+    :func:`propose_death` and ``rwm._propose_stay`` make them, built at
+    once: a (B, k + 1) array with each row padded with its last landmark,
+    the rows' landmark counts and log proposal ratios."""
+    k = theta.size
+    closed = topology == CLOSED
+    pb, pd, _ = move_probabilities(k, k_min_for(topology), move_probs)
+    move = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)  # 0 birth, 1 death, 2 stay
+    stay = move == 2
+    j, v = _stay_values(theta, block, sd, closed)
+    r = np.arange(len(block))
+    # theta with a stay's component replaced, a death's removed (set to
+    # inf and sorted to the end) and a birth's location appended
+    rows = np.empty((len(block), k + 1))
+    rows[:, :k] = theta
+    rows[r, j] = np.where(stay, v, np.where(move == 1, np.inf, theta[j]))
+    rows[:, k] = np.where(move == 0, block[:, 1], np.inf)
+    if closed:
+        rows.sort(axis=1)
+    else:  # an open stay keeps its place, so that a broken order is rejected
+        rows[~stay] = np.sort(rows[~stay], axis=1)
+    ks = np.array([k + 1, k - 1, k])[move]
+    rows = rows[r[:, None], np.minimum(np.arange(k + 1), ks[:, None] - 1)]
+    birth, death = _jump_log_ratios(k, topology, tuple(move_probs))
+    return rows, ks, np.array([birth, death, 0.0])[move]
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
@@ -116,43 +135,29 @@ def run_rjmcmc(
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
 
-    def choose(th):
-        """Draw the move: 0 birth, 1 death, 2 stay."""
+    def step(th, lp, row, logp_new=None):
         pb, pd, _ = move_probabilities(th.size, k_min, cfg.move_probs)
-        u = rng.random()
-        return 0 if u < pb else 1 if u < pb + pd else 2
-
-    def draw(th):
-        move = choose(th)
-        if move == 0:
-            return _birth(th, rng, spec, cfg.move_probs)
-        if move == 1:
-            return _death(th, rng, spec, cfg.move_probs)
-        return _propose_stay(th, rng, spec.topology, sd), 0.0
-
-    def step(th, lp, logp_new=None):
-        move = choose(th)
-        if move == 2:
+        if row[0] >= pb + pd:
             return rwm_step(
                 th,
                 lp,
                 sample,
                 spec,
                 cfg.proposal_var,
-                rng,
+                row,
                 variable_k=True,
                 prior_only=prior_only,
                 logp_new=logp_new,
             )
-        if move == 0:
-            prop, log_ratio = propose_birth(th, rng, spec, cfg.move_probs)
+        if row[0] < pb:
+            prop, log_ratio = propose_birth(th, row[1], spec, cfg.move_probs)
         else:
-            prop, log_ratio = propose_death(th, rng, spec, cfg.move_probs)
+            prop, log_ratio = propose_death(th, row[1], spec, cfg.move_probs)
         if logp_new is None:
             logp_new = log_posterior_theta(
                 sample, prop, spec, variable_k=True, include_likelihood=not prior_only
             )
-        return _decide(th, lp, prop, logp_new, log_ratio, rng)
+        return _decide(th, lp, prop, logp_new, log_ratio, row[2])
 
     return _sample_chain(
         sample,
@@ -163,5 +168,5 @@ def run_rjmcmc(
         variable_k=True,
         draw_prior=lambda: draw_initial_state(rng, spec),
         step=step,
-        draw=draw,
+        build=lambda th, block: _jump_block(th, block, sd, spec.topology, cfg.move_probs),
     )

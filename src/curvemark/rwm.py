@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_posterior_theta
+from .model import CurveSample, ModelSpec, NEG_INF, _log_posterior_rows, log_posterior_theta
 from .reconstruct import spacing_to_theta
 
 
@@ -100,22 +100,82 @@ def draw_initial_theta(rng: np.random.Generator, spec: ModelSpec, k: int) -> np.
     return spacing_to_theta(s, spec.topology, rng.uniform() if closed else 0.0)
 
 
-def _propose_stay(theta: np.ndarray, rng: np.random.Generator, topology: str, sd: float):
-    """Random-walk proposal of one uniformly chosen component; closed
+# Rows of the random table drawn per call: the chain draws its table in
+# chunks of this many rows, so memory stays bounded in the chain length.
+_TABLE_ROWS = 1024
+
+
+def _random_table(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """The next ``rows`` rows of a chain's random table, a (rows, 4) array.
+
+    Iteration t of a chain reads row t, whether it runs alone or in a
+    block, and the chain draws no other randoms after its start state.
+    The table is drawn in chunks of ``_TABLE_ROWS`` rows (the last chunk
+    shorter), each as ``rng.random((rows, 3))`` followed by
+    ``rng.standard_normal(rows)``; row t is
+
+    0. ``move``: the birth/death/stay choice (the variable-k chain only);
+    1. ``where``: a birth's location, or for a death or stay the landmark
+       index ``min(floor(where * k), k - 1)``, which is uniform on
+       0 .. k - 1 to within 2**-53 per index (``where`` takes the values
+       i * 2**-53);
+    2. ``accept``: the uniform of the Metropolis-Hastings test;
+    3. ``step``: the standard normal step of a stay.
+    """
+    return np.column_stack((rng.random((rows, 3)), rng.standard_normal(rows)))
+
+
+def _pick_index(where: float, k: int) -> int:
+    """The landmark index a table row's ``where`` value picks."""
+    return min(int(where * k), k - 1)
+
+
+def _wrap(v: float) -> float:
+    """``v`` mod 1 in [0, 1): a value just below 0 whose remainder rounds
+    up to 1.0 wraps to 0.0."""
+    v %= 1.0
+    return 0.0 if v == 1.0 else v
+
+
+def _propose_stay(theta: np.ndarray, row, topology: str, sd: float) -> np.ndarray:
+    """Random-walk proposal of the component the table row picks; closed
     curves wrap it mod 1 and re-sort."""
-    j = int(rng.integers(theta.size))
     prop = theta.tolist()
-    prop[j] += rng.standard_normal() * sd
+    j = _pick_index(row[1], len(prop))
+    prop[j] += row[3] * sd
     if topology == CLOSED:
-        prop[j] = float(np.mod(prop[j], 1.0))
+        prop[j] = _wrap(prop[j])
         prop.sort()
     return np.array(prop)
 
 
-def _decide(theta, logp, prop, logp_new, log_ratio, rng):
-    """Metropolis-Hastings accept test; draws the test's uniform."""
-    u = rng.random()
-    if logp_new > NEG_INF and np.log(u) < (logp_new - logp) + log_ratio:
+def _stay_values(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
+    """The component index and new value of the stay proposal of every row
+    of a table slice, as :func:`_propose_stay` computes them."""
+    k = theta.size
+    j = np.minimum((block[:, 1] * k).astype(np.intp), k - 1)
+    v = theta[j] + block[:, 3] * sd
+    if closed:
+        v %= 1.0
+        v[v == 1.0] = 0.0
+    return j, v
+
+
+def _stay_block(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
+    """The stay proposals of a table slice as a (B, k) array, their
+    landmark counts and log proposal ratios (0)."""
+    j, v = _stay_values(theta, block, sd, closed)
+    rows = np.tile(theta, (len(block), 1))
+    rows[np.arange(len(block)), j] = v
+    if closed:
+        rows.sort(axis=1)
+    return rows, np.full(len(block), theta.size), 0.0
+
+
+def _decide(theta, logp, prop, logp_new, log_ratio, u):
+    """Metropolis-Hastings accept test at the table's accept uniform ``u``
+    (log 0 = -inf accepts)."""
+    if logp_new > NEG_INF and (u == 0.0 or math.log(u) < (logp_new - logp) + log_ratio):
         return prop, logp_new, True
     return theta, logp, False
 
@@ -126,22 +186,24 @@ def rwm_step(
     sample: CurveSample,
     spec: ModelSpec,
     proposal_var: float,
-    rng: np.random.Generator,
+    row,
     variable_k: bool = False,
     prior_only: bool = False,
     logp_new: float | None = None,
 ):
     """One Metropolis update of a uniformly chosen landmark component.
 
-    The proposal is normal with the given variance; closed-curve proposals
-    wrap mod 1 (and the vector is re-sorted), open-curve proposals that
-    break the ordering carry prior support 0 and are auto-rejected.
-    ``logp_new``, when given, is taken as the proposal's log posterior
-    instead of evaluating it (the block loop of the samplers passes the
-    batched score of a proposal it has already drawn).
-    Returns ``(theta, logp, accepted)``.
+    ``row`` is the iteration's row of the chain's random table (see
+    ``_random_table``): its ``where`` value picks the component, its
+    ``step`` value times the proposal sd is the normal step and its
+    ``accept`` value decides.  Closed-curve proposals wrap mod 1 (and the
+    vector is re-sorted), open-curve proposals that break the ordering
+    carry prior support 0 and are auto-rejected.  ``logp_new``, when
+    given, is taken as the proposal's log posterior instead of evaluating
+    it (the block loop of the samplers passes the batched score of a
+    proposal it has already built).  Returns ``(theta, logp, accepted)``.
     """
-    prop = _propose_stay(theta, rng, spec.topology, math.sqrt(proposal_var))
+    prop = _propose_stay(theta, row, spec.topology, math.sqrt(proposal_var))
     if logp_new is None:
         logp_new = log_posterior_theta(
             sample,
@@ -150,7 +212,7 @@ def rwm_step(
             variable_k=variable_k,
             include_likelihood=not prior_only,
         )
-    return _decide(theta, logp, prop, logp_new, 0.0, rng)
+    return _decide(theta, logp, prop, logp_new, 0.0, row[2])
 
 
 # Blocks along the rejection path: a chain that has rejected at least
@@ -171,28 +233,31 @@ _BLOCK_CAP = 128
 _MARGIN = 1e-9
 
 
-def _run_path(theta, logp, cfg, rng, step, draw, score):
+def _run_path(theta, logp, cfg, rng, step, build, score):
     """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
     return its retained draws, their log posteriors and the accept count.
 
-    ``step(theta, logp, logp_new=None) -> (theta, logp, accepted)`` is one
-    iteration through the public move functions (``rwm_step``,
+    Iteration t reads row t of the chain's random table
+    (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
+    ``step(theta, logp, row, logp_new=None) -> (theta, logp, accepted)`` is
+    one iteration through the public move functions (``rwm_step``,
     ``propose_birth``, ``propose_death``), which score the proposal with
     the scalar log posterior unless ``logp_new`` is given;
-    ``draw(theta) -> (prop, log_ratio)`` makes the same draws up to the
-    accept test without calling them; ``score`` is the batched log
-    posterior of a list of proposals.
+    ``build(theta, block) -> (rows, ks, log_ratios)`` makes the proposals
+    of a slice of the table from ``theta`` at once, as a padded (B, K)
+    array (the layout of ``model._stack_rows``); ``score(rows, ks)`` is
+    their batched log posterior.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
-    stretches the next B iterations' proposals are drawn up front as if
-    every one were rejected and scored in one batched call (Brockwell 2006,
-    pre-fetching along the rejection path).  The bit generator is then
-    rewound and the iterations are replayed through ``step`` up to the
-    first accept, each with its batched score where that score rejects by
-    a clear margin and with the scalar log posterior otherwise.  So the
-    public move functions run once per iteration, in chain order, and
-    every accept test is the one-at-a-time chain's own: the chain is the
-    one-at-a-time chain, draw for draw, log posteriors included.
+    stretches the next B iterations' proposals are built as if every one
+    were rejected and scored in one batched call (Brockwell 2006,
+    pre-fetching along the rejection path).  The iterations are then
+    replayed through ``step`` up to the first accept, each with its
+    batched score where that score rejects by a clear margin and with the
+    scalar log posterior otherwise.  So the public move functions run once
+    per iteration, in chain order, and every accept test is the
+    one-at-a-time chain's own: the chain is the one-at-a-time chain, draw
+    for draw, log posteriors included.
     """
     burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
     kept_theta: list[np.ndarray] = []
@@ -205,31 +270,44 @@ def _run_path(theta, logp, cfg, rng, step, draw, score):
             kept_theta.append(theta.copy())
             kept_logp.append(logp)
 
-    bitgen = rng.bit_generator
+    # rows base .. base + len(rows) - 1 of the table, as an array and a list
+    table = np.empty((0, 4))
+    rows: list = []
+    base = 0
+
+    def reach(stop):
+        """Draw table chunks until row ``stop - 1`` is held, dropping the
+        rows before iteration t."""
+        nonlocal table, rows, base
+        while base + len(rows) < stop:
+            chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(rows)))
+            table = np.concatenate((table[t - base :], chunk))
+            rows = rows[t - base :] + chunk.tolist()
+            base = t
+
     accepted = run = t = 0
     while t < cfg.n_iter:
         if run < _RUN_FOR_BLOCKS or accepted > _BLOCK_ACCEPT_RATE * t:
-            theta, logp, acc = step(theta, logp)
+            if t == base + len(rows):
+                reach(t + 1)
+            theta, logp, acc = step(theta, logp, rows[t - base])
             accepted += acc
             run = 0 if acc else run + 1
             keep(t, t + 1, theta, logp)
             t += 1
             continue
         size = min(_BLOCK_CAP, 2 * run, cfg.n_iter - t)
-        start = bitgen.state
-        props, ratios, us = [], [], []
-        for _ in range(size):
-            prop, log_ratio = draw(theta)
-            props.append(prop)
-            ratios.append(log_ratio)
-            us.append(rng.random())
-        lps = score(props)
-        margin = ((lps - logp) + ratios) - np.log(us)
-        sure = (lps == NEG_INF) | (margin < -_MARGIN * (1.0 + np.abs(lps)))
-        bitgen.state = start
+        reach(t + size)
+        block = table[t - base : t - base + size]
+        props, ks, ratios = build(theta, block)
+        lps = score(props, ks)
+        margin = ((lps - logp) + ratios) - np.log(block[:, 2])
+        sure = ((lps == NEG_INF) | (margin < -_MARGIN * (1.0 + np.abs(lps)))).tolist()
+        lps = lps.tolist()
         theta0, logp0 = theta, logp
         for i in range(size):
-            theta, logp, acc = step(theta, logp, float(lps[i]) if sure[i] else None)
+            row = rows[t - base + i]
+            theta, logp, acc = step(theta, logp, row, lps[i] if sure[i] else None)
             if acc:
                 break
         keep(t, t + i, theta0, logp0)
@@ -243,10 +321,10 @@ def _run_path(theta, logp, cfg, rng, step, draw, score):
     return kept_theta, kept_logp, accepted
 
 
-def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, step, draw):
+def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, step, build):
     """Start a chain from the first of up to 100 prior draws
     ``draw_prior()`` with a finite posterior and run it: ``_run_path`` with
-    the moves ``step`` and ``draw``.  Returns the retained draws as a
+    the moves ``step`` and ``build``.  Returns the retained draws as a
     sample set."""
 
     def logpost(th):
@@ -269,9 +347,9 @@ def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, st
         cfg,
         rng,
         step,
-        draw,
-        score=lambda rows: log_posterior_batch(
-            sample, rows, spec, variable_k=variable_k, include_likelihood=not prior_only
+        build,
+        score=lambda rows, ks: _log_posterior_rows(
+            sample, rows, ks, spec, variable_k, not prior_only
         ),
     )
     if accepted == 0:
@@ -305,8 +383,8 @@ def run_chain(
         prior_only,
         variable_k=False,
         draw_prior=lambda: draw_initial_theta(rng, spec, k),
-        step=lambda th, lp, logp_new=None: rwm_step(
-            th, lp, sample, spec, cfg.proposal_var, rng, prior_only=prior_only, logp_new=logp_new
+        step=lambda th, lp, row, logp_new=None: rwm_step(
+            th, lp, sample, spec, cfg.proposal_var, row, prior_only=prior_only, logp_new=logp_new
         ),
-        draw=lambda th: (_propose_stay(th, rng, spec.topology, sd), 0.0),
+        build=lambda th, block: _stay_block(th, block, sd, spec.topology == CLOSED),
     )

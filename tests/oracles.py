@@ -215,9 +215,11 @@ def three_segment_polyline(n=60):
 def one_at_a_time_chain(sample, spec, cfg, k=None, variable_k=False, prior_only=False):
     """Reference chain that scores every proposal on its own with the
     scalar log posterior: the random-walk Metropolis chain (fixed k) or
-    the birth-death-stay chain (``variable_k``), drawing from the bit
-    generator in the samplers' order.  Returns (thetas, ks, log_post,
-    accept_rate) of the retained draws."""
+    the birth-death-stay chain (``variable_k``).  After the start state it
+    reads the documented random table, one row per iteration: drawn in
+    chunks of 1024 rows, each ``rng.random((n, 3))`` (move, location or
+    index, accept) then ``rng.standard_normal(n)`` (stay step).  Returns
+    (thetas, ks, log_post, accept_rate) of the retained draws."""
     from curvemark.model import log_posterior_theta
     from curvemark.rjmcmc import draw_initial_state
     from curvemark.rwm import draw_initial_theta
@@ -244,28 +246,32 @@ def one_at_a_time_chain(sample, spec, cfg, k=None, variable_k=False, prior_only=
     burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
     thetas, log_post, accepted = [], [], 0
     for t in range(cfg.n_iter):
+        if t % 1024 == 0:
+            uniforms = rng.random((min(1024, cfg.n_iter - t), 3))
+            normals = rng.standard_normal(len(uniforms))
+        u_move, where, a = uniforms[t % 1024]
         kk = theta.size
         log_ratio = 0.0
         move = "stay"
         if variable_k:
             pb, pd = probs(kk)
-            u = rng.uniform()
-            move = "birth" if u < pb else "death" if u < pb + pd else "stay"
+            move = "birth" if u_move < pb else "death" if u_move < pb + pd else "stay"
+        index = min(int(np.floor(where * kk)), kk - 1)
         if move == "birth":
-            prop = np.sort(np.append(theta, rng.uniform()))
+            prop = np.sort(np.append(theta, where))
             log_ratio = np.log(probs(kk + 1)[1]) - np.log(kk + 1.0) - np.log(probs(kk)[0])
         elif move == "death":
-            prop = np.delete(theta, int(rng.integers(kk)))
+            prop = np.delete(theta, index)
             log_ratio = np.log(probs(kk - 1)[0]) + np.log(float(kk)) - np.log(probs(kk)[1])
         else:
-            j = int(rng.integers(kk))
             prop = theta.copy()
-            prop[j] += rng.normal(0.0, np.sqrt(cfg.proposal_var))
+            prop[index] += normals[t % 1024] * np.sqrt(cfg.proposal_var)
             if closed:
-                prop[j] = np.mod(prop[j], 1.0)
+                prop[index] = np.mod(prop[index], 1.0)
+                if prop[index] == 1.0:  # a value just below 0 wraps to 0
+                    prop[index] = 0.0
                 prop = np.sort(prop)
         logp_new = logpost(prop)
-        a = rng.uniform()
         if logp_new > -np.inf and np.log(a) < (logp_new - logp) + log_ratio:
             theta, logp = prop, logp_new
             accepted += 1

@@ -38,8 +38,8 @@ def rjmcmc_case(sample, lam, prior_only=False, **cfg):
 CASES = {
     "open-fixed": lambda: rwm_case(sine_sample(100), 4, n_iter=6000, seed=3),
     "closed-fixed": lambda: rwm_case(closed_sample(64), 4, n_iter=4000, seed=5),
-    "open-variable": lambda: rjmcmc_case(sine_sample(100), 1e-6, n_iter=6000, seed=7),
-    "closed-variable": lambda: rjmcmc_case(closed_sample(64), 1.0, n_iter=4000, seed=9),
+    "open-variable": lambda: rjmcmc_case(sine_sample(100), 1e-6, n_iter=6000, seed=4),
+    "closed-variable": lambda: rjmcmc_case(closed_sample(64), 1.0, n_iter=4000, seed=2),
     "open-fixed-prior": lambda: rwm_case(sine_sample(25), 3, True, n_iter=3000, seed=2),
     "closed-fixed-prior": lambda: rwm_case(closed_sample(32), 4, True, n_iter=3000, seed=4),
     "open-variable-prior": lambda: rjmcmc_case(sine_sample(25), 1.0, True, n_iter=3000, seed=6),

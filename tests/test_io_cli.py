@@ -391,6 +391,11 @@ class TestCli:
         for i in range(1, 6):
             assert os.path.exists(str(tmp_path / f"fam_{i}.csv"))
 
+    def test_generate_into_missing_dir_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["generate", "--name", "sine", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
     def test_missing_curve_file_exit_code_1(self, tmp_path):
         rc = main(
             [

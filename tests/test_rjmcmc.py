@@ -47,10 +47,8 @@ class TestMoveProbabilities:
 class TestBirthDeathProposals:
     def test_birth_inserts_in_order(self):
         spec = cm.ModelSpec(n_eval=100)
-        rng = np.random.default_rng(0)
-        shadow = np.random.default_rng(0)
-        u = shadow.uniform()
-        new, log_ratio = cm.propose_birth(np.array([0.5]), rng, spec, THIRDS)
+        u = np.random.default_rng(0).random()
+        new, log_ratio = cm.propose_birth(np.array([0.5]), u, spec, THIRDS)
         np.testing.assert_allclose(new, np.sort([0.5, u]), atol=1e-15)
         # from k=1 (boundary: birth prob 2/3) to k=2 (death prob 1/3)
         want = np.log(1.0 / 3.0) - np.log(2.0) - np.log(2.0 / 3.0)
@@ -60,10 +58,9 @@ class TestBirthDeathProposals:
         spec = cm.ModelSpec(n_eval=100)
         theta = np.array([0.2, 0.5])
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            shadow = np.random.default_rng(seed)
-            i = int(shadow.integers(2))
-            new, log_ratio = cm.propose_death(theta, rng, spec, THIRDS)
+            where = np.random.default_rng(seed).random()
+            i = min(int(np.floor(where * 2)), 1)
+            new, log_ratio = cm.propose_death(theta, where, spec, THIRDS)
             np.testing.assert_allclose(new, np.delete(theta, i))
             want = np.log(2.0 / 3.0) + np.log(2.0) - np.log(1.0 / 3.0)
             assert log_ratio == pytest.approx(want, abs=1e-12)
@@ -71,19 +68,18 @@ class TestBirthDeathProposals:
     def test_death_forbidden_at_minimum(self):
         spec = cm.ModelSpec(n_eval=100)
         with pytest.raises(ValueError):
-            cm.propose_death(np.array([0.5]), np.random.default_rng(0), spec, THIRDS)
+            cm.propose_death(np.array([0.5]), 0.5, spec, THIRDS)
         closed = cm.ModelSpec(n_eval=100, topology=cm.CLOSED)
         with pytest.raises(ValueError):
-            cm.propose_death(
-                np.array([0.1, 0.4, 0.8]), np.random.default_rng(0), closed, THIRDS
-            )
+            cm.propose_death(np.array([0.1, 0.4, 0.8]), 0.5, closed, THIRDS)
 
     def test_birth_death_log_ratios_cancel(self):
         spec = cm.ModelSpec(n_eval=100)
         theta = np.array([0.2, 0.6, 0.9])
-        _, lr_birth = cm.propose_birth(theta, np.random.default_rng(1), spec, THIRDS)
+        where = np.random.default_rng(1).random()
+        _, lr_birth = cm.propose_birth(theta, where, spec, THIRDS)
         grown = np.array([0.2, 0.4, 0.6, 0.9])
-        _, lr_death = cm.propose_death(grown, np.random.default_rng(1), spec, THIRDS)
+        _, lr_death = cm.propose_death(grown, where, spec, THIRDS)
         assert lr_birth + lr_death == pytest.approx(0.0, abs=1e-12)
 
     def test_births_land_near_a_landmark_at_the_uniform_rate(self):
@@ -94,7 +90,7 @@ class TestBirthDeathProposals:
         n = 10_000
         near = 0
         for _ in range(n):
-            new, _ = cm.propose_birth(np.array([0.5]), rng, spec, THIRDS)
+            new, _ = cm.propose_birth(np.array([0.5]), rng.random(), spec, THIRDS)
             near += np.min(np.abs(new[new != 0.5] - 0.5)) < spec.min_spacing
         rate = 2.0 * spec.min_spacing
         assert abs(near / n - rate) <= 4.0 * np.sqrt(rate * (1.0 - rate) / n)
@@ -104,10 +100,8 @@ class TestBirthDeathProposals:
         # ((k+1) p_b(k))}, recomputed term by term from the model module
         spec = cm.ModelSpec(n_eval=100, lam=1.0)
         theta = np.array([0.125, 0.625])
-        rng = np.random.default_rng(9)
-        shadow = np.random.default_rng(9)
-        u = shadow.uniform()
-        prop, log_ratio = cm.propose_birth(theta, rng, spec, THIRDS)
+        u = np.random.default_rng(9).random()
+        prop, log_ratio = cm.propose_birth(theta, u, spec, THIRDS)
         lp_old = log_posterior_theta(sine_sample_100, theta, spec, variable_k=True)
         lp_new = log_posterior_theta(sine_sample_100, prop, spec, variable_k=True)
         alpha = min(1.0, np.exp((lp_new - lp_old) + log_ratio))

@@ -7,6 +7,11 @@ from curvemark.model import NEG_INF, log_posterior_theta
 from curvemark.rwm import draw_initial_theta
 
 
+def table_row(rng):
+    """One row of a chain's random table: move, where, accept, step."""
+    return [*rng.random(3).tolist(), float(rng.standard_normal())]
+
+
 def polyline_sample(n_eval=25):
     pts = oracles.three_segment_polyline(60)
     curve = cm.rescale_unit_length(cm.PlanarCurve(pts), n_eval)
@@ -68,7 +73,7 @@ class TestRwmStep:
         logp = log_posterior_theta(sample, theta, spec, include_likelihood=False)
         n_acc = 0
         for _ in range(200):
-            theta, logp, acc = rwm_step_closed(sample, spec, theta, logp, rng)
+            theta, logp, acc = rwm_step_closed(sample, spec, theta, logp, table_row(rng))
             n_acc += acc
         assert n_acc == 200
 
@@ -81,7 +86,7 @@ class TestRwmStep:
         # with a huge proposal variance almost every move breaks the
         # ordering or leaves [0, 1]; every retained state must stay valid
         for _ in range(300):
-            theta, logp, _ = cm.rwm_step(theta, logp, sample, spec, 4.0, rng)
+            theta, logp, _ = cm.rwm_step(theta, logp, sample, spec, 4.0, table_row(rng))
             assert cm.theta_is_valid(theta, cm.OPEN)
             assert np.isfinite(logp)
 
@@ -91,16 +96,14 @@ class TestRwmStep:
         theta0 = np.array([0.25, 0.55, 0.85])
         logp0 = log_posterior_theta(sample, theta0, spec)
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            shadow = np.random.default_rng(seed)
-            j = int(shadow.integers(3))
-            eps = shadow.normal(0.0, np.sqrt(0.02))
+            row = table_row(np.random.default_rng(seed))
+            _, where, u, step = row
+            j = min(int(np.floor(where * 3)), 2)
             prop = theta0.copy()
-            prop[j] += eps
+            prop[j] += step * np.sqrt(0.02)
             logp_prop = log_posterior_theta(sample, prop, spec)
-            u = shadow.uniform()
             want_accept = logp_prop > NEG_INF and np.log(u) < logp_prop - logp0
-            theta1, logp1, acc = cm.rwm_step(theta0, logp0, sample, spec, 0.02, rng)
+            theta1, logp1, acc = cm.rwm_step(theta0, logp0, sample, spec, 0.02, row)
             assert acc == want_accept
             if acc:
                 np.testing.assert_allclose(theta1, prop, atol=1e-15)
@@ -109,9 +112,9 @@ class TestRwmStep:
                 assert theta1 is theta0 and logp1 == logp0
 
 
-def rwm_step_closed(sample, spec, theta, logp, rng):
+def rwm_step_closed(sample, spec, theta, logp, row):
     return cm.rwm_step(
-        theta, logp, sample, spec, 0.02, rng, prior_only=True
+        theta, logp, sample, spec, 0.02, row, prior_only=True
     )
 
 
