@@ -271,24 +271,25 @@ def log_posterior_batch(
     spec: ModelSpec,
     variable_k: bool = False,
     include_likelihood: bool = True,
+    ks=None,
 ) -> np.ndarray:
     """:func:`log_posterior_theta` of every landmark vector in ``thetas``
     (a (B, k) array, or a sequence of vectors of any lengths), in one
-    batched evaluation.
+    batched evaluation.  With ``ks``, ``thetas`` is a (B, K) array whose
+    row r holds ``ks[r]`` landmarks padded with its last one (the layout
+    the samplers' blocks build).
 
     Vectors that :func:`log_posterior_theta` would reject (invalid ordering
     or support, a spacing below the grid-resolution guard) get -inf; the
     others agree with it to rounding, since only the order of the
     summation differs.
     """
-    th, ks = _stack_rows(thetas)
-    return _log_posterior_rows(sample, th, ks, spec, variable_k, include_likelihood)
-
-
-def _log_posterior_rows(sample, th, ks, spec, variable_k, include_likelihood):
-    """:func:`log_posterior_batch` of the rows of a (B, K) array, row r
-    holding ``ks[r]`` landmarks padded with its last one (the layout of
-    :func:`_stack_rows`)."""
+    if ks is None:
+        th, ks = _stack_rows(thetas)
+    else:
+        th, ks = np.asarray(thetas, dtype=float), np.asarray(ks)
+        if th.ndim != 2 or ks.shape != th.shape[:1] or ks.min() < 1 or ks.max() > th.shape[1]:
+            raise LandmarkError("ks must give each row's landmark count, 1 to K")
     s, valid = _row_spacings(th, ks, spec.topology)
     terms = _k_terms(spec, _terms_size(spec, int(ks.max())), variable_k)[2][:, ks]
     lp = terms[0]

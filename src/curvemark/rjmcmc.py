@@ -90,7 +90,8 @@ def _jump_block(theta, block, sd, topology, move_probs):
     k = theta.size
     closed = topology == CLOSED
     pb, pd, _ = move_probabilities(k, k_min_for(topology), move_probs)
-    move = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)  # 0 birth, 1 death, 2 stay
+    # 0 birth, 1 death, 2 stay
+    move = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
     stay = move == 2
     j, v = _stay_values(theta, block, sd, closed)
     r = np.arange(len(block))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, _log_posterior_rows, log_posterior_theta
+from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_posterior_theta
 from .reconstruct import spacing_to_theta
 
 
@@ -243,9 +243,9 @@ def _run_path(theta, logp, cfg, rng, step, build, score):
     one iteration through the public move functions (``rwm_step``,
     ``propose_birth``, ``propose_death``), which score the proposal with
     the scalar log posterior unless ``logp_new`` is given;
-    ``build(theta, block) -> (rows, ks, log_ratios)`` makes the proposals
+    ``build(theta, block) -> (props, ks, log_ratios)`` makes the proposals
     of a slice of the table from ``theta`` at once, as a padded (B, K)
-    array (the layout of ``model._stack_rows``); ``score(rows, ks)`` is
+    array (the layout of ``model._stack_rows``); ``score(props, ks)`` is
     their batched log posterior.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
@@ -306,8 +306,7 @@ def _run_path(theta, logp, cfg, rng, step, build, score):
         lps = lps.tolist()
         theta0, logp0 = theta, logp
         for i in range(size):
-            row = rows[t - base + i]
-            theta, logp, acc = step(theta, logp, row, lps[i] if sure[i] else None)
+            theta, logp, acc = step(theta, logp, rows[t - base + i], lps[i] if sure[i] else None)
             if acc:
                 break
         keep(t, t + i, theta0, logp0)
@@ -348,8 +347,8 @@ def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, st
         rng,
         step,
         build,
-        score=lambda rows, ks: _log_posterior_rows(
-            sample, rows, ks, spec, variable_k, not prior_only
+        score=lambda props, ks: log_posterior_batch(
+            sample, props, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
         ),
     )
     if accepted == 0:

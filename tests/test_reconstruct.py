@@ -371,6 +371,13 @@ class TestBatchedEngine:
                 n_finite += 1
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (th, got, want)
         assert n_finite >= 20
+        # the same rows as one padded table with their landmark counts
+        padded, ks = cm.model._stack_rows(rows)
+        assert np.array_equal(cm.log_posterior_batch(
+            sample, padded, spec, variable_k=variable_k, include_likelihood=include_likelihood,
+            ks=ks), lp)
+        with pytest.raises(cm.LandmarkError):
+            cm.log_posterior_batch(sample, padded, spec, ks=ks + padded.shape[1])
         # the crowded rows break the min-spacing rule and nothing else
         crowded_lp = cm.log_posterior_batch(
             sample, crowded, spec, variable_k=variable_k, include_likelihood=include_likelihood
