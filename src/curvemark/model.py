@@ -139,18 +139,15 @@ def _k_terms(spec: ModelSpec, n: int, variable_k: bool):
     the Dirichlet log normalizer of k landmarks' spacings and, in
     variable-k mode, :func:`log_prior_k` (0 otherwise); -inf below the
     minimum landmark count.  Returned as the two lists and as one (2, n)
-    array for indexing by a batch's landmark counts."""
+    array for indexing by a batch's landmark counts.  Callers pass
+    ``n = max(spec.k_max, largest k) + 2``, which covers a birth from
+    ``k_max`` and keeps one table per spec unless a fixed-k chain runs
+    beyond ``k_max``."""
     k_min = k_min_for(spec.topology)
     gaps = 1 if spec.topology == OPEN else 0  # spacings less landmarks
     norms = [_dirichlet_norm(k + gaps, spec.alpha) if k >= k_min else NEG_INF for k in range(n)]
     priors = [log_prior_k(k, spec) if variable_k else 0.0 for k in range(n)]
     return norms, priors, np.array([norms, priors])
-
-
-def _terms_size(spec: ModelSpec, k: int) -> int:
-    """The ``n`` of :func:`_k_terms` covering landmark counts up to ``k``:
-    one table per spec unless a fixed-k chain runs beyond ``k_max``."""
-    return max(spec.k_max, k) + 2
 
 
 def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
@@ -240,7 +237,7 @@ def log_posterior_theta(
     if s is None:
         return NEG_INF
     k = len(th)
-    norms, priors, _ = _k_terms(spec, _terms_size(spec, k), variable_k)
+    norms, priors, _ = _k_terms(spec, max(spec.k_max, k) + 2, variable_k)
     lp = norms[k] + _dirichlet_sum(s, spec.alpha)
     if variable_k:
         lp += priors[k]
@@ -291,7 +288,7 @@ def log_posterior_batch(
         if th.ndim != 2 or ks.shape != th.shape[:1] or ks.min() < 1 or ks.max() > th.shape[1]:
             raise LandmarkError("ks must give each row's landmark count, 1 to K")
     s, valid = _row_spacings(th, ks, spec.topology)
-    terms = _k_terms(spec, _terms_size(spec, int(ks.max())), variable_k)[2][:, ks]
+    terms = _k_terms(spec, max(spec.k_max, int(ks.max())) + 2, variable_k)[2][:, ks]
     lp = terms[0]
     if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
         lp += (spec.alpha - 1.0) * np.log(np.where(valid[:, None], s, 1.0)).sum(axis=1)
