@@ -134,6 +134,7 @@ def cmd_run_fixed(args) -> int:
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
     result = run_chain(sample, cfg.spec(), cfg.chain(), k=cfg.k)
     result, summary, densities = _summaries_and_densities(result, cfg.topology)
+    summary["moves"] = result.moves
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior mean: {np.round(summary['mean'], 4).tolist()}")
     print(f"acceptance rate: {summary['accept_rate']:.4f}")
@@ -149,6 +150,7 @@ def cmd_run_rjmcmc(args) -> int:
     result = run_rjmcmc(sample, cfg.spec(), cfg.chain())
     _, summary, densities = _modal_summaries(result, cfg.topology)
     summary["accept_rate"] = float(result.accept_rate)
+    summary["moves"] = result.moves
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior k counts: {summary['k_counts']}")
     print(f"modal k: {summary['k_mode']}; mean at modal k: {np.round(summary['mean'], 4).tolist()}")

@@ -249,7 +249,7 @@ def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
         th, row_ks = _stack_rows(thetas[start : start + _CHECK_ROWS])
         if topology == CLOSED:
             th = _min_first(th, row_ks)
-        bad = np.flatnonzero(~_row_spacings(th, row_ks, topology)[1])
+        bad = np.flatnonzero(~_row_spacings(th.T, row_ks, topology)[1])
         if bad.size:
             i = start + bad[0]
             raise InputError(

@@ -168,9 +168,9 @@ def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarr
     ``thetas`` (a (B, k) array, or a sequence of vectors of any lengths),
     in one batched evaluation."""
     th, ks = _stack_rows(thetas)
-    if not _row_spacings(th, ks, sample.grid.topology)[1].all():
+    if not _row_spacings(th.T, ks, sample.grid.topology)[1].all():
         raise LandmarkError("invalid landmark vector in the batch")
-    return _error_sq_chunked(sample, th, ks)
+    return _error_sq_chunked(sample, th.T, ks)
 
 
 # Rows per call of the batched engine, whose temporaries grow as M * rows
@@ -180,8 +180,10 @@ _BATCH_ROWS = 1024
 
 
 def _error_sq_chunked(sample: CurveSample, th: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of
+    ``_BATCH_ROWS`` rows."""
     return np.concatenate([
-        _error_sq_rows(sample.stack, th[i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS], sample.grid)
+        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS], sample.grid)
         for i in range(0, len(ks), _BATCH_ROWS)
     ])
 
@@ -274,7 +276,8 @@ def log_posterior_batch(
     (a (B, k) array, or a sequence of vectors of any lengths), in one
     batched evaluation.  With ``ks``, ``thetas`` is a (B, K) array whose
     row r holds ``ks[r]`` landmarks padded with its last one (the layout
-    the samplers' blocks build).
+    the samplers' blocks build, whose (K, B) arrays pass in as their
+    ``.T`` view without a copy: the batch is scored with rows last).
 
     Vectors that :func:`log_posterior_theta` would reject (invalid ordering
     or support, a spacing below the grid-resolution guard) get -inf; the
@@ -287,19 +290,20 @@ def log_posterior_batch(
         th, ks = np.asarray(thetas, dtype=float), np.asarray(ks)
         if th.ndim != 2 or ks.shape != th.shape[:1] or ks.min() < 1 or ks.max() > th.shape[1]:
             raise LandmarkError("ks must give each row's landmark count, 1 to K")
+    th = th.T
     s, valid = _row_spacings(th, ks, spec.topology)
     terms = _k_terms(spec, max(spec.k_max, int(ks.max())) + 2, variable_k)[2][:, ks]
     lp = terms[0]
     if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
-        lp += (spec.alpha - 1.0) * np.log(np.where(valid[:, None], s, 1.0)).sum(axis=1)
+        lp += (spec.alpha - 1.0) * np.log(np.where(valid, s, 1.0)).sum(axis=0)
     if variable_k:
         lp += terms[1]
     valid &= lp > NEG_INF
     if include_likelihood:
-        valid &= s.min(axis=1) >= spec.min_spacing
+        valid &= s.min(axis=0) >= spec.min_spacing
         keep = np.flatnonzero(valid)
         if keep.size:
-            total = _error_sq_chunked(sample, th[keep], ks[keep])
+            total = _error_sq_chunked(sample, th[:, keep], ks[keep])
             lp[keep] += _log_marginal_from_error(total, spec, sample.m, np.log)
     return np.where(valid, lp, NEG_INF)
 

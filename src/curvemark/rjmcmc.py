@@ -82,31 +82,29 @@ def propose_death(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
     return np.array(th), log_ratio
 
 
-def _jump_block(theta, block, sd, topology, move_probs):
+def _jump_block(theta, block, move, sd, topology, move_probs):
     """The proposals of a table slice as :func:`propose_birth`,
-    :func:`propose_death` and ``rwm._propose_stay`` make them, built at
-    once: a (B, k + 1) array with each row padded with its last landmark,
-    the rows' landmark counts and log proposal ratios."""
+    :func:`propose_death` and ``rwm._propose_stay`` make them, for the
+    rows' moves ``move`` (0 birth, 1 death, 2 stay), built at once: a
+    (k + 1, B) array with one column per row, each padded with its last
+    landmark, the rows' landmark counts and log proposal ratios."""
     k = theta.size
     closed = topology == CLOSED
-    pb, pd, _ = move_probabilities(k, k_min_for(topology), move_probs)
-    # 0 birth, 1 death, 2 stay
-    move = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
     stay = move == 2
     j, v = _stay_values(theta, block, sd, closed)
     r = np.arange(len(block))
     # theta with a stay's component replaced, a death's removed (set to
     # inf and sorted to the end) and a birth's location appended
-    rows = np.empty((len(block), k + 1))
-    rows[:, :k] = theta
-    rows[r, j] = np.where(stay, v, np.where(move == 1, np.inf, theta[j]))
-    rows[:, k] = np.where(move == 0, block[:, 1], np.inf)
+    rows = np.empty((k + 1, len(block)))
+    rows[:k] = theta[:, None]
+    rows[j, r] = np.where(stay, v, np.where(move == 1, np.inf, theta[j]))
+    rows[k] = np.where(move == 0, block[:, 1], np.inf)
     if closed:
-        rows.sort(axis=1)
+        rows.sort(axis=0)
     else:  # an open stay keeps its place, so that a broken order is rejected
-        rows[~stay] = np.sort(rows[~stay], axis=1)
+        rows[:, ~stay] = np.sort(rows[:, ~stay], axis=0)
     ks = np.array([k + 1, k - 1, k])[move]
-    rows = rows[r[:, None], np.minimum(np.arange(k + 1), ks[:, None] - 1)]
+    rows = rows[np.minimum(np.arange(k + 1)[:, None], ks - 1), r]
     birth, death = _jump_log_ratios(k, topology, tuple(move_probs))
     return rows, ks, np.array([birth, death, 0.0])[move]
 
@@ -136,9 +134,8 @@ def run_rjmcmc(
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
 
-    def step(th, lp, row, logp_new=None):
-        pb, pd, _ = move_probabilities(th.size, k_min, cfg.move_probs)
-        if row[0] >= pb + pd:
+    def step(th, lp, row, move, logp_new=None):
+        if move == 2:
             return rwm_step(
                 th,
                 lp,
@@ -150,7 +147,7 @@ def run_rjmcmc(
                 prior_only=prior_only,
                 logp_new=logp_new,
             )
-        if row[0] < pb:
+        if move == 0:
             prop, log_ratio = propose_birth(th, row[1], spec, cfg.move_probs)
         else:
             prop, log_ratio = propose_death(th, row[1], spec, cfg.move_probs)
@@ -168,6 +165,9 @@ def run_rjmcmc(
         prior_only,
         variable_k=True,
         draw_prior=lambda: draw_initial_state(rng, spec),
+        probs=lambda k: move_probabilities(k, k_min, cfg.move_probs),
         step=step,
-        build=lambda th, block: _jump_block(th, block, sd, spec.topology, cfg.move_probs),
+        build=lambda th, block, moves: _jump_block(
+            th, block, moves, sd, spec.topology, cfg.move_probs
+        ),
     )

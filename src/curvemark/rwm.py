@@ -46,13 +46,16 @@ class ChainConfig:
 @dataclass
 class PosteriorSampleSet:
     """Retained chain output: landmark vectors, per-sample log posterior,
-    and the overall acceptance rate."""
+    the overall acceptance rate and, from a chain run, the proposals per
+    move kind over all iterations, ``{move: {"proposed": n, "accepted":
+    n}}``."""
 
     thetas: list
     ks: np.ndarray
     log_post: np.ndarray
     accept_rate: float
     topology: str
+    moves: dict | None = None
 
     @property
     def n(self) -> int:
@@ -85,6 +88,7 @@ class PosteriorSampleSet:
             self.log_post[mask],
             self.accept_rate,
             self.topology,
+            self.moves,
         )
 
     def k_counts(self) -> dict[int, int]:
@@ -162,13 +166,13 @@ def _stay_values(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
 
 
 def _stay_block(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
-    """The stay proposals of a table slice as a (B, k) array, their
-    landmark counts and log proposal ratios (0)."""
+    """The stay proposals of a table slice as a (k, B) array (one column
+    per row), their landmark counts and log proposal ratios (0)."""
     j, v = _stay_values(theta, block, sd, closed)
-    rows = np.tile(theta, (len(block), 1))
-    rows[np.arange(len(block)), j] = v
+    rows = np.repeat(theta[:, None], len(block), axis=1)
+    rows[j, np.arange(len(block))] = v
     if closed:
-        rows.sort(axis=1)
+        rows.sort(axis=0)
     return rows, np.full(len(block), theta.size), 0.0
 
 
@@ -215,38 +219,51 @@ def rwm_step(
     return _decide(theta, logp, prop, logp_new, 0.0, row[2])
 
 
-# Blocks along the rejection path: a chain that has rejected at least
+# Blocks along the rejection path: a chain that has just rejected at least
 # _RUN_FOR_BLOCKS proposals in a row, and has accepted at most
-# _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals
-# in blocks of min(_BLOCK_CAP, 2 * run, remaining iterations).  One batched
-# call costs about as much as eight scalar evaluations, so blocks pay only
-# where rejections come in long runs: without the acceptance gate, chains
-# accepting 9-43% of their proposals, which often reject 4 in a row but
-# rarely many more, ran 1.1-2.6x slower than with it (sine, N=25, k=2).
-# A batched score decides a row only when it rejects by more than
-# _MARGIN * (1 + |score|) in log units, far above the rounding by which it
-# differs from the scalar log posterior; every other row is scored again
-# by the scalar log posterior.
-_RUN_FOR_BLOCKS = 4
+# _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals in
+# blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run), remaining
+# iterations): 64 rows after the first rejection, then 128 while the run
+# lasts.  One batched call costs about 200-400 us at 8 rows and 300-550 us
+# at 128 (one curve, N = 100, k = 4, 2-vCPU x86), against 40-60 us for one
+# scalar step, so a block pays once about ten of its rows are rejected.
+# Without the acceptance gate, chains accepting 9-43% of their proposals,
+# which often reject 4 in a row but rarely many more, ran 1.1-2.6x slower
+# (sine, N=25, k=2).  Under it, against opening after 4 rejections with
+# 2 * run rows, this rule ran the paper's RJMCMC run (0.3% acceptance) in
+# 0.86x the time, the closed five-outline run (0.9%) in 0.94x and two
+# closed outlines at N=64 (3-4% acceptance, fixed and variable k) in
+# 0.73x and 0.86x; a flat 128-row block ran those two 1.22x and 1.15x
+# slower than this rule.  A batched score decides a row only when it
+# rejects by more than _MARGIN * (1 + |score|) in log units, far above the
+# rounding by which it differs from the scalar log posterior; every other
+# row is scored again by the scalar log posterior.
+_RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
+_FIRST_BLOCK = 64
 _BLOCK_CAP = 128
 _MARGIN = 1e-9
+# the move kinds, in the order of ChainConfig.move_probs
+MOVES = ("birth", "death", "stay")
 
 
-def _run_path(theta, logp, cfg, rng, step, build, score):
+def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
-    return its retained draws, their log posteriors and the accept count.
+    return its retained draws, their log posteriors and, per move kind
+    (:data:`MOVES`), the proposals made and accepted.
 
     Iteration t reads row t of the chain's random table
     (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
-    ``step(theta, logp, row, logp_new=None) -> (theta, logp, accepted)`` is
-    one iteration through the public move functions (``rwm_step``,
-    ``propose_birth``, ``propose_death``), which score the proposal with
-    the scalar log posterior unless ``logp_new`` is given;
-    ``build(theta, block) -> (props, ks, log_ratios)`` makes the proposals
-    of a slice of the table from ``theta`` at once, as a padded (B, K)
-    array (the layout of ``model._stack_rows``); ``score(props, ks)`` is
-    their batched log posterior.
+    Its move is birth below ``pb``, death below ``pb + pd`` and stay
+    otherwise, for ``(pb, pd, ps) = probs(k)`` at the state's landmark
+    count k.  ``step(theta, logp, row, move, logp_new=None) -> (theta,
+    logp, accepted)`` is one iteration through the public move functions
+    (``rwm_step``, ``propose_birth``, ``propose_death``), which score the
+    proposal with the scalar log posterior unless ``logp_new`` is given;
+    ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
+    proposals of a slice of the table, with their moves, from ``theta`` at
+    once, as a (K, B) array with one column per row, padded with its last
+    landmark; ``score(props, ks)`` is their batched log posterior.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
     stretches the next B iterations' proposals are built as if every one
@@ -262,6 +279,8 @@ def _run_path(theta, logp, cfg, rng, step, build, score):
     burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
     kept_theta: list[np.ndarray] = []
     kept_logp: list[float] = []
+    proposed = [0] * len(MOVES)
+    accepts = [0] * len(MOVES)
 
     def keep(t0, t1, theta, logp):
         """Retain the state ending iterations t0 .. t1 - 1."""
@@ -290,41 +309,50 @@ def _run_path(theta, logp, cfg, rng, step, build, score):
         if run < _RUN_FOR_BLOCKS or accepted > _BLOCK_ACCEPT_RATE * t:
             if t == base + len(rows):
                 reach(t + 1)
-            theta, logp, acc = step(theta, logp, rows[t - base])
+            row = rows[t - base]
+            pb, pd, _ = probs(theta.size)
+            move = 0 if row[0] < pb else 1 if row[0] < pb + pd else 2
+            theta, logp, acc = step(theta, logp, row, move)
+            proposed[move] += 1
+            accepts[move] += acc
             accepted += acc
             run = 0 if acc else run + 1
             keep(t, t + 1, theta, logp)
             t += 1
             continue
-        size = min(_BLOCK_CAP, 2 * run, cfg.n_iter - t)
+        size = min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run), cfg.n_iter - t)
         reach(t + size)
         block = table[t - base : t - base + size]
-        props, ks, ratios = build(theta, block)
+        pb, pd, _ = probs(theta.size)
+        moves = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
+        props, ks, ratios = build(theta, block, moves)
         lps = score(props, ks)
         margin = ((lps - logp) + ratios) - np.log(block[:, 2])
         sure = ((lps == NEG_INF) | (margin < -_MARGIN * (1.0 + np.abs(lps)))).tolist()
         lps = lps.tolist()
         theta0, logp0 = theta, logp
-        for i in range(size):
-            theta, logp, acc = step(theta, logp, rows[t - base + i], lps[i] if sure[i] else None)
+        for i, (row, move) in enumerate(zip(rows[t - base : t - base + size], moves.tolist())):
+            theta, logp, acc = step(theta, logp, row, move, lps[i] if sure[i] else None)
+            proposed[move] += 1
             if acc:
                 break
         keep(t, t + i, theta0, logp0)
         keep(t + i, t + i + 1, theta, logp)
         t += i + 1
         if acc:
+            accepts[move] += 1
             accepted += 1
             run = 0
         else:
             run += size
-    return kept_theta, kept_logp, accepted
+    return kept_theta, kept_logp, proposed, accepts
 
 
-def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, step, build):
+def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, probs, step, build):
     """Start a chain from the first of up to 100 prior draws
     ``draw_prior()`` with a finite posterior and run it: ``_run_path`` with
-    the moves ``step`` and ``build``.  Returns the retained draws as a
-    sample set."""
+    the moves ``probs``, ``step`` and ``build``.  Returns the retained
+    draws as a sample set."""
 
     def logpost(th):
         return log_posterior_theta(
@@ -340,22 +368,25 @@ def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, st
     if logp == NEG_INF:
         raise RuntimeError("could not find an initial state with finite posterior")
 
-    kept_theta, kept_logp, accepted = _run_path(
+    kept_theta, kept_logp, proposed, accepts = _run_path(
         theta,
         logp,
         cfg,
         rng,
+        probs,
         step,
         build,
         score=lambda props, ks: log_posterior_batch(
-            sample, props, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
+            sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
         ),
     )
-    if accepted == 0:
+    if sum(accepts) == 0:
         warnings.warn("chain accepted no proposals; check the proposal settings")
+    moves = {name: {"proposed": p, "accepted": a} for name, p, a in zip(MOVES, proposed, accepts)
+             if variable_k or name == "stay"}
     ks = np.array([th.size for th in kept_theta], dtype=int)
     return PosteriorSampleSet(
-        kept_theta, ks, np.asarray(kept_logp), accepted / cfg.n_iter, spec.topology
+        kept_theta, ks, np.asarray(kept_logp), sum(accepts) / cfg.n_iter, spec.topology, moves
     )
 
 
@@ -382,8 +413,9 @@ def run_chain(
         prior_only,
         variable_k=False,
         draw_prior=lambda: draw_initial_theta(rng, spec, k),
-        step=lambda th, lp, row, logp_new=None: rwm_step(
+        probs=lambda k: (0.0, 0.0, 1.0),
+        step=lambda th, lp, row, move, logp_new=None: rwm_step(
             th, lp, sample, spec, cfg.proposal_var, row, prior_only=prior_only, logp_new=logp_new
         ),
-        build=lambda th, block: _stay_block(th, block, sd, spec.topology == CLOSED),
+        build=lambda th, block, moves: _stay_block(th, block, sd, spec.topology == CLOSED),
     )

@@ -124,6 +124,66 @@ def test_chain_does_not_depend_on_block_cap(name, cap, references, monkeypatch):
     assert_same_chain(res, ref)
 
 
+# (run of rejections that opens a block, first block size, cap)
+SIZINGS = [(1, 64, 128), (1, 1, 1), (4, 1, 128), (2, 3, 7), (1, 128, 16), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("sizing", SIZINGS, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
+def test_chain_does_not_depend_on_block_sizing(name, sizing, references, monkeypatch):
+    case, ref = references[name]
+    for constant, value in zip(("_RUN_FOR_BLOCKS", "_FIRST_BLOCK", "_BLOCK_CAP"), sizing):
+        monkeypatch.setattr(rwm, constant, value)
+    res, _ = run_case(case, monkeypatch)
+    assert_same_chain(res, ref)
+
+
+def recorded_moves(monkeypatch):
+    """Wrap the public move functions; returns the list they append
+    (function name, start state, proposed or returned state) to."""
+    calls = []
+
+    def recorded(fn):
+        def move(theta, *args, **kwargs):
+            out = fn(theta, *args, **kwargs)
+            calls.append((fn.__name__, theta, out[0]))
+            return out
+
+        return move
+
+    for module, fn in [(rwm, "rwm_step"), (rjmcmc, "rwm_step"),
+                       (rjmcmc, "propose_birth"), (rjmcmc, "propose_death")]:
+        monkeypatch.setattr(module, fn, recorded(getattr(module, fn)))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
+def test_move_counts_match_public_moves(name, references, monkeypatch):
+    # the counts per move kind that the sampler reports, against those
+    # read off the public move calls: a stay is accepted iff rwm_step
+    # returns a new state, a birth or death iff the next move starts from
+    # the state it proposed; the last call's outcome is what the overall
+    # accept count leaves
+    case, ref = references[name]
+    calls = recorded_moves(monkeypatch)
+    res, _ = run_case(case, monkeypatch)
+    kinds = {"rwm_step": "stay", "propose_birth": "birth", "propose_death": "death"}
+    want = {kind: {"proposed": 0, "accepted": 0} for kind in
+            (kinds.values() if case[4] else ["stay"])}
+    starts = [theta for _, theta, _ in calls[1:]]
+    for (fn, theta, out), nxt in zip(calls, starts):
+        want[kinds[fn]]["proposed"] += 1
+        want[kinds[fn]]["accepted"] += bool(
+            not np.array_equal(theta, out) if fn == "rwm_step" else np.array_equal(out, nxt)
+        )
+    last = want[kinds[calls[-1][0]]]
+    last["proposed"] += 1
+    last["accepted"] += round(ref[3] * len(calls)) - sum(m["accepted"] for m in want.values())
+    assert last["accepted"] >= 0
+    assert res.moves == want
+    assert sum(m["proposed"] for m in want.values()) == case[2].n_iter
+
+
 @pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
 def test_one_public_move_call_per_iteration(name, references, monkeypatch):
     # a stay is accepted iff rwm_step returns a new state, a birth or death

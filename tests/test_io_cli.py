@@ -232,7 +232,12 @@ class TestCli:
         )
         assert rc == 0
         assert os.path.exists(os.path.join(out, "samples.csv"))
-        assert os.path.exists(os.path.join(out, "summary.json"))
+        with open(os.path.join(out, "summary.json")) as fh:
+            record = json.load(fh)
+        # the fixed-k chain only stays; its counts cover every iteration
+        assert list(record["moves"]) == ["stay"]
+        assert record["moves"]["stay"]["proposed"] == 3000
+        assert record["moves"]["stay"]["accepted"] == round(record["accept_rate"] * 3000)
 
     def test_rerun_same_seed_identical_samples(self, tmp_path):
         curve_path = str(tmp_path / "sine.csv")
@@ -294,6 +299,11 @@ class TestCli:
         with open(os.path.join(out, "summary.json")) as fh:
             record = json.load(fh)
         assert "k_counts" in record and "k_mode" in record
+        moves = record["moves"]
+        assert list(moves) == ["birth", "death", "stay"]
+        assert sum(m["proposed"] for m in moves.values()) == 5000
+        assert sum(m["accepted"] for m in moves.values()) == round(record["accept_rate"] * 5000)
+        assert all(0 < m["accepted"] <= m["proposed"] for m in moves.values())
 
     def test_criterion_subcommand(self, tmp_path):
         curve_path = str(tmp_path / "sine.csv")

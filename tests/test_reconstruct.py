@@ -228,11 +228,15 @@ def sweep_curve(topology, n_points):
 
 
 def sweep_thetas(topology, n_eval, rng):
-    """Landmark vectors for one grid: random ones with k up to 11, knots
-    exactly on grid nodes, two knots inside one grid cell, and knots in
-    the end cells of the domain."""
+    """Landmark vectors for one grid, at least 128 of them: random ones
+    with k up to 11, knots exactly on grid nodes, two knots inside one
+    grid cell, three or four inside one cell at the min-spacing guard
+    1/(4N) apart, runs of knots 1-2 cells apart (so that a stencil end
+    skips more than one knot), and knots in the end cells of the
+    domain."""
     cells = n_eval if topology == cm.CLOSED else n_eval - 1
     k_min = 3 if topology == cm.CLOSED else 1
+    guard = 1.0 / (4.0 * n_eval)
     out = []
     for k in range(k_min, 12):
         out.append(rng.uniform(0.0, 1.0, k))
@@ -242,6 +246,14 @@ def sweep_thetas(topology, n_eval, rng):
         out.append(np.concatenate([pair, rng.uniform(0.0, 1.0, max(k - 2, 1))]))
         ends = [rng.uniform(0.0, 1.0) / cells, 1.0 - rng.uniform(0.0, 1.0) / cells]
         out.append(np.concatenate([ends, rng.uniform(0.0, 1.0, max(k - 2, 1))]))
+        for m in (3, 4):
+            start = (int(rng.integers(1, cells - 1)) + rng.uniform(0.0, 0.2)) / cells
+            cluster = start + guard * np.arange(m)
+            out.append(np.concatenate([cluster, rng.uniform(0.0, 1.0, max(k - m, 0))]))
+        run = (int(rng.integers(1, cells // 2)) + np.cumsum(rng.uniform(1.0, 2.0, k))) / cells
+        out.append(run[run < 1.0])
+    while len(out) < 150:
+        out.append(rng.uniform(0.0, 1.0, int(rng.integers(k_min, 12))))
     # knots one double apart, which often share a grid position
     for x in rng.uniform(0.1, 0.9, 20):
         out.append(np.array([0.05, x, np.nextafter(x, 1.0), 0.95]))
@@ -265,7 +277,7 @@ class TestSegmentEngine:
         curve = sweep_curve(topology, int(rng.integers(40, 300)))
         sample = cm.CurveSample.build([curve], cm.EvaluationGrid(n_eval, topology))
         thetas = sweep_thetas(topology, n_eval, rng)
-        assert len(thetas) > 30
+        assert len(thetas) >= 128
         for th in thetas:
             fast = cm.total_reconstruction_error_sq(sample, th)
             want = oracles.reconstruction_error_sq(curve.points, topology, th, n_eval)

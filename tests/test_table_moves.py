@@ -68,17 +68,18 @@ def test_block_rows_are_the_public_proposals(case):
     topology, theta, block, var, move_probs = case
     spec = cm.ModelSpec(n_eval=100, topology=topology, k_max=K_MAX + 1)
     sd = math.sqrt(var)
-    rows, ks, ratios = rjmcmc._jump_block(theta, block, sd, topology, move_probs)
-    assert rows.shape == (len(block), theta.size + 1)
-    stays = rwm._stay_block(theta, block, sd, topology == cm.CLOSED)
     pb, pd, _ = rjmcmc.move_probabilities(theta.size, cm.k_min_for(topology), move_probs)
+    moves = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
+    rows, ks, ratios = rjmcmc._jump_block(theta, block, moves, sd, topology, move_probs)
+    assert rows.shape == (theta.size + 1, len(block))
+    stays = rwm._stay_block(theta, block, sd, topology == cm.CLOSED)
     for i, row in enumerate(block.tolist()):
         prop, log_ratio = public_move(theta, row, spec, var, move_probs)
         assert ks[i] == prop.size and ratios[i] == log_ratio
-        assert np.array_equal(rows[i, : ks[i]], prop)
-        assert np.all(rows[i, ks[i]:] == prop[-1])  # padded with the last landmark
+        assert np.array_equal(rows[: ks[i], i], prop)
+        assert np.all(rows[ks[i]:, i] == prop[-1])  # padded with the last landmark
         if row[0] >= pb + pd:
             # the fixed-k chain's block: the stay this row makes
-            assert np.array_equal(stays[0][i], prop) and stays[1][i] == prop.size
+            assert np.array_equal(stays[0][:, i], prop) and stays[1][i] == prop.size
         if topology == cm.CLOSED or row[0] < pb + pd:
             check_sorted_unit(prop)
