@@ -183,7 +183,8 @@ def _error_sq_chunked(sample: CurveSample, th: np.ndarray, ks: np.ndarray) -> np
     """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of
     ``_BATCH_ROWS`` rows."""
     return np.concatenate([
-        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS], sample.grid)
+        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS],
+                       sample.grid)
         for i in range(0, len(ks), _BATCH_ROWS)
     ])
 

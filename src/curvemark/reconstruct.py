@@ -403,7 +403,9 @@ def _error_sq_rows(
         # one-sided at the curve's end nodes: inv is then 2 * inv_centred
         np.maximum(ends[0], 0.0, out=ends[0])
         np.minimum(ends[1], n - 1.0, out=ends[1])
-        inv = np.divide(2.0 * inv_centred, ends[1] - ends[0], out=np.zeros(cand.shape), where=listed)
+        inv = np.divide(
+            2.0 * inv_centred, ends[1] - ends[0], out=np.zeros(cand.shape), where=listed
+        )
     # the segment holding each end: bisect_right over the row's first
     # n_seg knots, as a count over the knot axis
     seg = np.minimum((us[:, None, None] <= ends).sum(axis=0), n_seg) - 1

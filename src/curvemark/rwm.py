@@ -224,33 +224,31 @@ def rwm_step(
 # _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals in
 # blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run), remaining
 # iterations): 64 rows after the first rejection, then 128 while the run
-# lasts.  One batched call costs about 200-400 us at 8 rows and 300-550 us
-# at 128 (one curve, N = 100, k = 4, 2-vCPU x86), against 40-60 us for one
-# scalar step, so a block pays once about ten of its rows are rejected.
-# Without the acceptance gate, chains accepting 9-43% of their proposals,
-# which often reject 4 in a row but rarely many more, ran 1.1-2.6x slower
-# (sine, N=25, k=2).  Under it, against opening after 4 rejections with
-# 2 * run rows, this rule ran the paper's RJMCMC run (0.3% acceptance) in
-# 0.86x the time, the closed five-outline run (0.9%) in 0.94x and two
-# closed outlines at N=64 (3-4% acceptance, fixed and variable k) in
-# 0.73x and 0.86x; a flat 128-row block ran those two 1.22x and 1.15x
-# slower than this rule.  A batched score decides a row only when it
-# rejects by more than _MARGIN * (1 + |score|) in log units, far above the
-# rounding by which it differs from the scalar log posterior; every other
-# row is scored again by the scalar log posterior.
+# lasts.  A batched call costs 200-400 us at 8 rows and 300-550 us at 128
+# (one curve, N = 100, k = 4, 2-vCPU x86), a scalar step 40-60 us.
+# Without the acceptance gate, chains accepting 9-43% of their proposals
+# ran 1.1-2.6x slower (sine, N=25, k=2).  Against opening after 4
+# rejections with 2 * run rows, this rule ran the paper's RJMCMC run (0.3%
+# acceptance) in 0.86x the time, five closed outlines (0.9%) in 0.94x and
+# two at N=64 (3-4%, fixed and variable k) in 0.73x and 0.86x, where a
+# flat 128-row block ran 1.22x and 1.15x slower than this rule.  A batched
+# score decides a row only when it rejects by more than
+# _MARGIN * (1 + |score|) in log units, far above the rounding by which it
+# differs from the scalar log posterior; every other row is scored again
+# by the scalar log posterior.
 _RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 128
 _MARGIN = 1e-9
 # the move kinds, in the order of ChainConfig.move_probs
-MOVES = ("birth", "death", "stay")
+_MOVES = ("birth", "death", "stay")
 
 
 def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
     return its retained draws, their log posteriors and, per move kind
-    (:data:`MOVES`), the proposals made and accepted.
+    (``_MOVES``), the proposals made and accepted.
 
     Iteration t reads row t of the chain's random table
     (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
@@ -279,8 +277,8 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
     kept_theta: list[np.ndarray] = []
     kept_logp: list[float] = []
-    proposed = [0] * len(MOVES)
-    accepts = [0] * len(MOVES)
+    proposed = [0] * len(_MOVES)
+    accepts = [0] * len(_MOVES)
 
     def keep(t0, t1, theta, logp):
         """Retain the state ending iterations t0 .. t1 - 1."""
@@ -304,9 +302,9 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             rows = rows[t - base :] + chunk.tolist()
             base = t
 
-    accepted = run = t = 0
+    run = t = 0
     while t < cfg.n_iter:
-        if run < _RUN_FOR_BLOCKS or accepted > _BLOCK_ACCEPT_RATE * t:
+        if run < _RUN_FOR_BLOCKS or sum(accepts) > _BLOCK_ACCEPT_RATE * t:
             if t == base + len(rows):
                 reach(t + 1)
             row = rows[t - base]
@@ -315,7 +313,6 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             theta, logp, acc = step(theta, logp, row, move)
             proposed[move] += 1
             accepts[move] += acc
-            accepted += acc
             run = 0 if acc else run + 1
             keep(t, t + 1, theta, logp)
             t += 1
@@ -341,7 +338,6 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
         t += i + 1
         if acc:
             accepts[move] += 1
-            accepted += 1
             run = 0
         else:
             run += size
@@ -380,13 +376,14 @@ def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, pr
             sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
         ),
     )
-    if sum(accepts) == 0:
+    accepted = sum(accepts)
+    if accepted == 0:
         warnings.warn("chain accepted no proposals; check the proposal settings")
-    moves = {name: {"proposed": p, "accepted": a} for name, p, a in zip(MOVES, proposed, accepts)
+    moves = {name: {"proposed": p, "accepted": a} for name, p, a in zip(_MOVES, proposed, accepts)
              if variable_k or name == "stay"}
     ks = np.array([th.size for th in kept_theta], dtype=int)
     return PosteriorSampleSet(
-        kept_theta, ks, np.asarray(kept_logp), sum(accepts) / cfg.n_iter, spec.topology, moves
+        kept_theta, ks, np.asarray(kept_logp), accepted / cfg.n_iter, spec.topology, moves
     )
 
 

@@ -165,11 +165,12 @@ def test_move_counts_match_public_moves(name, references, monkeypatch):
     # the state it proposed; the last call's outcome is what the overall
     # accept count leaves
     case, ref = references[name]
+    variable_k, n_iter = case[4], case[2].n_iter
     calls = recorded_moves(monkeypatch)
     res, _ = run_case(case, monkeypatch)
     kinds = {"rwm_step": "stay", "propose_birth": "birth", "propose_death": "death"}
-    want = {kind: {"proposed": 0, "accepted": 0} for kind in
-            (kinds.values() if case[4] else ["stay"])}
+    want = {kind: {"proposed": 0, "accepted": 0}
+            for kind in (kinds.values() if variable_k else ["stay"])}
     starts = [theta for _, theta, _ in calls[1:]]
     for (fn, theta, out), nxt in zip(calls, starts):
         want[kinds[fn]]["proposed"] += 1
@@ -178,10 +179,10 @@ def test_move_counts_match_public_moves(name, references, monkeypatch):
         )
     last = want[kinds[calls[-1][0]]]
     last["proposed"] += 1
-    last["accepted"] += round(ref[3] * len(calls)) - sum(m["accepted"] for m in want.values())
+    last["accepted"] += round(ref[3] * n_iter) - sum(m["accepted"] for m in want.values())
     assert last["accepted"] >= 0
     assert res.moves == want
-    assert sum(m["proposed"] for m in want.values()) == case[2].n_iter
+    assert sum(m["proposed"] for m in want.values()) == n_iter
 
 
 @pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
