@@ -90,13 +90,11 @@ def align_posterior_samples(samples: PosteriorSampleSet) -> PosteriorSampleSet:
         raise ValueError("posterior alignment applies to closed-curve samples")
     if samples.n == 0:
         return samples
-    if np.unique(samples.ks).size != 1:
-        raise ValueError("posterior alignment requires a fixed landmark count")
-    th = np.array(samples.thetas)
+    th = samples.theta_matrix()  # one landmark count, or ValueError
     n, k = th.shape
     rolls = (np.arange(k)[:, None] + np.arange(k)) % k  # row r rolls left by r
     cost = np.column_stack(
         [circular_component_distance(th[:, roll], th[0]).sum(axis=1) for roll in rolls]
     )
     best = th[np.arange(n)[:, None], rolls[cost.argmin(axis=1)]]
-    return replace(samples, thetas=list(best))
+    return replace(samples, thetas=best)

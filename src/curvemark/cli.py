@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="summaries from an existing samples table")
     p.add_argument("--samples", required=True, help="samples.csv from a previous run")
-    p.add_argument("--topology", choices=[OPEN, CLOSED], default=OPEN)
+    p.add_argument("--topology", choices=[OPEN, CLOSED], help="default: the table's, else open")
     p.add_argument("--out-dir", dest="out_dir", default="results")
 
     p = sub.add_parser("generate", help="write a synthetic curve family as CSV")
@@ -105,23 +105,20 @@ def _merged_config(args: argparse.Namespace, mode: str) -> RunConfig:
     return cfg
 
 
-def _summaries_and_densities(result, topology):
-    if topology == CLOSED:
+def _summaries_and_densities(result):
+    if result.topology == CLOSED:
         result = align_posterior_samples(result)
     summary = summarize(result)
-    densities = {}
-    if result.n >= 50:
-        for j in range(summary["k"]):
-            densities[j] = marginal_density(result, j)
-    return result, summary, densities
+    components = range(summary["k"]) if result.n >= 50 else []
+    return result, summary, {j: marginal_density(result, j) for j in components}
 
 
-def _modal_summaries(result, topology):
+def _modal_summaries(result):
     """Summaries of the draws at the modal landmark count, with the k
     counts and the mode of all draws recorded in the summary."""
     counts = result.k_counts()
     k_mode = max(counts, key=counts.get)
-    modal, summary, densities = _summaries_and_densities(result.select_k(k_mode), topology)
+    modal, summary, densities = _summaries_and_densities(result.select_k(k_mode))
     summary["k_counts"] = {str(k): c for k, c in sorted(counts.items())}
     summary["k_mode"] = k_mode
     return modal, summary, densities
@@ -133,7 +130,7 @@ def cmd_run_fixed(args) -> int:
         raise InputError("run-fixed requires --k (or the k config field)")
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
     result = run_chain(sample, cfg.spec(), cfg.chain(), k=cfg.k)
-    result, summary, densities = _summaries_and_densities(result, cfg.topology)
+    result, summary, densities = _summaries_and_densities(result)
     summary["moves"] = result.moves
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior mean: {np.round(summary['mean'], 4).tolist()}")
@@ -148,7 +145,7 @@ def cmd_run_rjmcmc(args) -> int:
         raise InputError("run-rjmcmc requires --lam (or the lam config field)")
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
     result = run_rjmcmc(sample, cfg.spec(), cfg.chain())
-    _, summary, densities = _modal_summaries(result, cfg.topology)
+    _, summary, densities = _modal_summaries(result)
     summary["accept_rate"] = float(result.accept_rate)
     summary["moves"] = result.moves
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
@@ -174,7 +171,7 @@ def cmd_criterion(args) -> int:
 
 def cmd_summarize(args) -> int:
     result = read_samples_csv(args.samples, args.topology)
-    modal, summary, densities = _modal_summaries(result, args.topology)
+    modal, summary, densities = _modal_summaries(result)
     if len(summary["k_counts"]) == 1:  # a fixed-k table: nothing to record
         del summary["k_counts"], summary["k_mode"]
     written = persist_results(modal, summary, args.out_dir, None, densities)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -13,7 +14,7 @@ import numpy as np
 
 from .alignment import align_sample_starts
 from .curves import CLOSED, OPEN, CurveError, EvaluationGrid, PlanarCurve, rescale_unit_length
-from .model import CurveSample, ModelSpec, _stack_rows
+from .model import CurveSample, ModelSpec
 from .reconstruct import _row_spacings
 from .rwm import ChainConfig, PosteriorSampleSet
 
@@ -150,19 +151,17 @@ def write_curve_csv(path: str, curve: PlanarCurve) -> None:
 
 
 def write_samples_csv(path: str, samples: PosteriorSampleSet) -> None:
-    """Chain table: iteration, k, theta_1..theta_kmax, log_post.  Rows with
-    fewer landmarks than the widest one leave trailing cells empty."""
+    """Chain table: iteration, k, theta_1..theta_kmax, log_post, topology.
+    Rows with fewer landmarks than the widest leave trailing cells empty."""
     k_max = int(samples.ks.max()) if samples.n else 0
-    header = ["iteration", "k"] + [f"theta_{j + 1}" for j in range(k_max)] + ["log_post"]
+    header = ["iteration", "k"] + [f"theta_{j + 1}" for j in range(k_max)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, (th, k, lp) in enumerate(zip(samples.thetas, samples.ks, samples.log_post)):
-            cells = [str(i), str(int(k))]
-            cells += [_fmt(v) for v in th]
-            cells += [""] * (k_max - th.size)
-            cells.append(_fmt(lp))
-            writer.writerow(cells)
+        writer.writerow(header + ["log_post", "topology"])
+        rows = zip(samples.thetas.tolist(), samples.ks.tolist(), samples.log_post.tolist())
+        for i, (th, k, lp) in enumerate(rows):
+            cells = [str(i), str(k)] + [_fmt(v) for v in th[:k]] + [""] * (k_max - k)
+            writer.writerow(cells + [_fmt(lp), samples.topology])
 
 
 @contextlib.contextmanager
@@ -194,24 +193,24 @@ _CHECK_ROWS = 8192
 
 
 def _min_first(th: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Rotate the first ``ks[r]`` values of each row r cyclically so that
-    the row starts at its minimum; the padding after them repeats the new
-    last value."""
+    """Rotate the first ``ks[r]`` values of each row r cyclically to start at
+    the row's minimum; the padding after them repeats the new last value."""
     col = np.minimum(np.arange(th.shape[1]), ks[:, None] - 1)
     at = (th.argmin(axis=1)[:, None] + col) % ks[:, None]
     return th[np.arange(len(ks))[:, None], at]
 
 
-def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
-    """Inverse of :func:`write_samples_csv`; acceptance rate is not stored
-    in the table and comes back as NaN.
-
-    Every row must have the header's cell count and hold landmarks in the
-    topology's support (:func:`~curvemark.reconstruct.theta_is_valid`);
-    closed rows may be stored in any cyclic rotation, as label alignment
-    leaves them.  Errors name the file and row.
+def read_samples_csv(path: str, topology: str | None = None) -> PosteriorSampleSet:
+    """Inverse of :func:`write_samples_csv` (the acceptance rate comes back
+    as NaN).  The topology is the table's ``topology`` column, which must
+    match ``topology`` if given; a table without one (older runs) has
+    ``topology``, open by default.  Every row must have the header's cell
+    count, a finite log posterior and landmarks in the topology's support
+    (:func:`~curvemark.reconstruct.theta_is_valid`); closed rows may be
+    stored in any cyclic rotation, as label alignment leaves them.  Errors
+    name the file and row.
     """
-    thetas: list[np.ndarray] = []
+    thetas: list[list[float]] = []
     ks: list[int] = []
     log_post: list[float] = []
     linenos = array("l")
@@ -221,11 +220,10 @@ def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty samples table") from None
-        width = len(header) - 3  # landmark columns
+        header = next(reader, [])
+        tagged = header[-1:] == ["topology"]
+        width = len(header) - 3 - tagged  # landmark columns
+        table_topology = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -234,31 +232,39 @@ def read_samples_csv(path: str, topology: str = OPEN) -> PosteriorSampleSet:
                     f"{path}:{lineno}: {len(row)} cells, the header has {len(header)}"
                 )
             try:
-                k = int(row[1])
-                if not 1 <= k <= width or any(row[2 + k : -1]):
+                if tagged:
+                    table_topology = table_topology or row[-1]
+                    if row.pop() != table_topology or table_topology not in (OPEN, CLOSED):
+                        raise ValueError
+                k, lp = int(row[1]), float(row[-1])
+                if not 1 <= k <= width or any(row[2 + k : -1]) or not math.isfinite(lp):
                     raise ValueError
-                theta = np.array([float(c) for c in row[2 : 2 + k]])
-                lp = float(row[-1])
+                theta = [float(c) for c in row[2 : 2 + k]]
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed samples row") from None
             thetas.append(theta)
             ks.append(k)
             log_post.append(lp)
             linenos.append(lineno)
-    for start in range(0, len(thetas), _CHECK_ROWS):
-        th, row_ks = _stack_rows(thetas[start : start + _CHECK_ROWS])
+    if not ks:
+        raise InputError(f"{path}: no samples rows")
+    if table_topology and topology and topology != table_topology:
+        raise InputError(f"{path}: table is {table_topology}, --topology {topology}")
+    topology = table_topology or topology or OPEN
+    samples = PosteriorSampleSet(thetas, np.array(ks), np.array(log_post), np.nan, topology)
+    for start in range(0, samples.n, _CHECK_ROWS):
+        th = samples.thetas[start : start + _CHECK_ROWS]
+        row_ks = samples.ks[start : start + _CHECK_ROWS]
         if topology == CLOSED:
             th = _min_first(th, row_ks)
         bad = np.flatnonzero(~_row_spacings(th.T, row_ks, topology)[1])
         if bad.size:
             i = start + bad[0]
             raise InputError(
-                f"{path}:{linenos[i]}: landmarks {thetas[i].tolist()} are outside"
+                f"{path}:{linenos[i]}: landmarks {thetas[i]} are outside"
                 f" the {topology}-curve support"
             )
-    return PosteriorSampleSet(
-        thetas, np.asarray(ks, dtype=int), np.asarray(log_post), float("nan"), topology
-    )
+    return samples
 
 
 def persist_results(

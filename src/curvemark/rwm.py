@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, log_posterior_batch, log_posterior_theta
+from .model import (CurveSample, ModelSpec, NEG_INF, _stack_rows, log_posterior_batch,
+                    log_posterior_theta)
 from .reconstruct import spacing_to_theta
 
 
@@ -48,47 +49,44 @@ class PosteriorSampleSet:
     """Retained chain output: landmark vectors, per-sample log posterior,
     the overall acceptance rate and, from a chain run, the proposals per
     move kind over all iterations, ``{move: {"proposed": n, "accepted":
-    n}}``."""
+    n}}``.  ``thetas`` is one (n, max(ks)) array whose row i holds ks[i]
+    landmarks, then repeats its last one; a sequence of vectors passed as
+    ``thetas`` is stacked so here, and its lengths must be ``ks``."""
 
-    thetas: list
+    thetas: np.ndarray
     ks: np.ndarray
     log_post: np.ndarray
     accept_rate: float
     topology: str
     moves: dict | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.thetas, np.ndarray):
+            th, ks = _stack_rows(self.thetas) if len(self.thetas) else (np.empty((0, 0)), [])
+            if not np.array_equal(ks, self.ks):
+                raise ValueError("ks must give the length of each landmark vector")
+            self.thetas = th
+
     @property
     def n(self) -> int:
-        return len(self.thetas)
+        return len(self.ks)
 
     def theta_matrix(self, k: int | None = None) -> np.ndarray:
-        """Samples stacked as an (n, k) array.
-
-        With ``k=None`` all samples must share one dimension; otherwise the
-        chain is filtered to the requested landmark count first.
-        """
+        """Samples as an (n, k) array: with ``k=None`` the table itself, whose
+        rows must share one dimension, otherwise its rows with k landmarks."""
         if k is None:
-            uniq = np.unique(self.ks)
-            if uniq.size != 1:
-                raise ValueError(
-                    "mixed landmark counts; pass k to select a stratum"
-                )
-            return np.array(self.thetas)
-        rows = [th for th, kk in zip(self.thetas, self.ks) if kk == k]
-        if not rows:
+            if np.unique(self.ks).size != 1:
+                raise ValueError("mixed landmark counts; pass k to select a stratum")
+            return self.thetas
+        rows = self.thetas[self.ks == k, :k]
+        if not rows.size:
             raise ValueError(f"no retained samples with k={k}")
-        return np.array(rows)
+        return rows
 
     def select_k(self, k: int) -> "PosteriorSampleSet":
         mask = self.ks == k
-        thetas = [th for th, keep in zip(self.thetas, mask) if keep]
-        return PosteriorSampleSet(
-            thetas,
-            self.ks[mask],
-            self.log_post[mask],
-            self.accept_rate,
-            self.topology,
-            self.moves,
+        return replace(
+            self, thetas=self.thetas[mask, :k], ks=self.ks[mask], log_post=self.log_post[mask]
         )
 
     def k_counts(self) -> dict[int, int]:

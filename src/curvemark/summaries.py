@@ -55,7 +55,7 @@ def summarize(samples: PosteriorSampleSet) -> dict:
         "median": medians,
         "ci_lower": lo,
         "ci_upper": hi,
-        "map": [float(v) for v in samples.thetas[imax]],
+        "map": th[imax].tolist(),
         "map_log_post": float(samples.log_post[imax]),
         "accept_rate": None if np.isnan(samples.accept_rate) else float(samples.accept_rate),
         "n_samples": samples.n,

@@ -200,6 +200,49 @@ class TestSamplesPersistence:
             with pytest.raises(cm.InputError, match=re.escape(f"{path}:5:")):
                 cm.read_samples_csv(str(path), cm.CLOSED)
 
+    def test_header_only_table_names_the_file(self, tmp_path, capsys):
+        path = str(tmp_path / "samples.csv")
+        with open(path, "w") as fh:
+            fh.write("iteration,k,theta_1,theta_2,log_post,topology\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{path}: no samples rows")):
+            cm.read_samples_csv(path)
+        assert main(["summarize", "--samples", path, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no samples rows\n"
+
+    @pytest.mark.parametrize("log_post", ["inf", "-inf", "nan"])
+    def test_non_finite_log_post_names_the_row(self, tmp_path, capsys, log_post):
+        path = str(tmp_path / "samples.csv")
+        with open(path, "w") as fh:
+            fh.write("iteration,k,theta_1,theta_2,log_post\n0,2,0.2,0.5,-1\n")
+            fh.write(f"1,2,0.2,0.5,{log_post}\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{path}:3:")):
+            cm.read_samples_csv(path)
+        out = tmp_path / "o"
+        assert main(["summarize", "--samples", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:3:")
+        assert not out.exists()
+
+    def test_table_records_its_topology(self, tmp_path, rng):
+        for topology in (cm.OPEN, cm.CLOSED):
+            path = str(tmp_path / f"{topology}.csv")
+            write_samples_csv(path, self._samples(rng, topology=topology))
+            with open(path) as fh:
+                rows = fh.read().splitlines()
+            assert rows[0].endswith(",log_post,topology")
+            assert all(row.endswith("," + topology) for row in rows[1:])
+            assert cm.read_samples_csv(path).topology == topology
+            other = cm.CLOSED if topology == cm.OPEN else cm.OPEN
+            with pytest.raises(cm.InputError, match=re.escape(f"{path}: table is {topology}")):
+                cm.read_samples_csv(path, other)
+        # every row must name the first row's topology, open or closed
+        header = "iteration,k,theta_1,theta_2,theta_3,log_post,topology\n"
+        for rows, bad in (("0,3,0.2,0.5,0.8,-1,open\n1,3,0.2,0.5,0.8,-1,closed\n", 3),
+                          ("0,3,0.2,0.5,0.8,-1,Open\n", 2)):
+            path = tmp_path / "mixed.csv"
+            path.write_text(header + rows)
+            with pytest.raises(cm.InputError, match=re.escape(f"{path}:{bad}:")):
+                cm.read_samples_csv(str(path))
+
     def test_summary_echoes_config(self, tmp_path, rng):
         ss = self._samples(rng)
         cfg = cm.RunConfig(k=4, seed=123, curves=["x.csv"])
@@ -353,6 +396,46 @@ class TestCli:
         )
         assert rc == 0
         assert os.path.exists(os.path.join(sum_out, "summary.json"))
+
+    def test_summarize_open_run_as_closed_exits_1(self, tmp_path, capsys):
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        run_out = str(tmp_path / "run")
+        assert main(
+            [
+                "run-fixed",
+                "--curves", curve_path,
+                "--k", "3",
+                "--n-eval", "50",
+                "--n-iter", "2000",
+                "--thin", "10",
+                "--seed", "1",
+                "--out-dir", run_out,
+            ]
+        ) == 0
+        table = os.path.join(run_out, "samples.csv")
+        capsys.readouterr()
+        sum_out = tmp_path / "sum"
+        argv = ["summarize", "--samples", table, "--out-dir", str(sum_out)]
+        assert main(argv + ["--topology", "closed"]) == 1
+        assert capsys.readouterr().err == f"error: {table}: table is open, --topology closed\n"
+        assert not sum_out.exists()
+        assert main(argv + ["--topology", "open"]) == 0
+
+    def test_summarize_defaults_to_the_tables_topology(self, tmp_path):
+        # closed rows around the wrap: the circular mean of the first
+        # landmark is near 0, the linear mean of the stored values 0.17
+        thetas = [[0.01, 0.34, 0.67], [0.33, 0.66, 0.99]] * 30
+        samples = cm.PosteriorSampleSet(
+            [np.array(t) for t in thetas], np.full(60, 3), np.zeros(60), 0.2, cm.CLOSED
+        )
+        table = str(tmp_path / "samples.csv")
+        write_samples_csv(table, samples)
+        out = str(tmp_path / "sum")
+        assert main(["summarize", "--samples", table, "--out-dir", out]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            mean = json.load(fh)["mean"]
+        assert min(mean[0], 1.0 - mean[0]) < 1e-9
+        assert cm.read_samples_csv(os.path.join(out, "samples.csv")).topology == cm.CLOSED
 
     def test_summarize_writes_strict_json(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -143,8 +143,8 @@ class TestRunRjmcmc:
         cfg = cm.ChainConfig(n_iter=5000, thin=5, seed=2)
         res = cm.run_rjmcmc(sample, spec, cfg)
         assert res.ks.min() >= 1 and res.ks.max() <= 12
-        for th in res.thetas:
-            assert cm.theta_is_valid(th, cm.OPEN)
+        for th, k in zip(res.thetas, res.ks):
+            assert cm.theta_is_valid(th[:k], cm.OPEN)
 
     def test_prior_recovery_shifted_poisson(self):
         # constant likelihood: retained k must follow k_min + Poisson(lam)
