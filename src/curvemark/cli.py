@@ -87,7 +87,7 @@ def _merged_config(args: argparse.Namespace, mode: str) -> RunConfig:
         try:
             with open(args.config) as fh:
                 cfg = RunConfig.from_json(fh.read())
-        except OSError as exc:
+        except (OSError, InputError) as exc:
             raise InputError(f"{args.config}: {exc}") from exc
     else:
         cfg = RunConfig()

@@ -74,10 +74,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise InputError("config must be a JSON object of fields")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
+        for f in fields(cls):
+            kind, value = f.type.removesuffix(" | None"), data.get(f.name)
+            if f.name in data and not (value is None and kind != f.type or _FITS[kind](value)):
+                raise InputError(f"config field {f.name} must be {f.type}, not {value!r}")
         return cls(**data)
 
     @classmethod
@@ -89,9 +94,20 @@ class RunConfig:
         return cls.from_dict(data)
 
 
+# Whether a JSON value fits a config field's type (k_range is a pair).
+_FITS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "list[int]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_FITS["int"], v)),
+    "list[str]": lambda v: isinstance(v, list) and all(map(_FITS["str"], v)),
+}
+
+
 def load_curve_csv(path: str) -> np.ndarray:
     """Read one curve from CSV: one row per sample, columns x,y, header
-    optional.  Errors name the offending file and row."""
+    optional; empty cells after a row's last value are ignored.  Errors
+    name the offending file and row."""
     rows: list[list[float]] = []
     try:
         fh = open(path, newline="")
@@ -99,7 +115,9 @@ def load_curve_csv(path: str) -> np.ndarray:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
+            cells = [c.strip() for c in row]
+            while cells and not cells[-1]:
+                cells.pop()
             if not cells:
                 continue
             if len(cells) != 2:
@@ -257,7 +275,7 @@ def read_samples_csv(path: str, topology: str | None = None) -> PosteriorSampleS
         row_ks = samples.ks[start : start + _CHECK_ROWS]
         if topology == CLOSED:
             th = _min_first(th, row_ks)
-        bad = np.flatnonzero(~_row_spacings(th.T, row_ks, topology)[1])
+        bad = np.flatnonzero(~(_row_spacings(th.T, row_ks, topology)[1] > 0.0))
         if bad.size:
             i = start + bad[0]
             raise InputError(

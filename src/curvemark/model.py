@@ -138,8 +138,8 @@ def _k_terms(spec: ModelSpec, n: int, variable_k: bool):
     """The per-k constants of the log posterior for k < n, computed once:
     the Dirichlet log normalizer of k landmarks' spacings and, in
     variable-k mode, :func:`log_prior_k` (0 otherwise); -inf below the
-    minimum landmark count.  Returned as the two lists and as one (2, n)
-    array for indexing by a batch's landmark counts.  Callers pass
+    minimum landmark count.  Returned as the two lists and as one array of
+    their sums, for indexing by a batch's landmark counts.  Callers pass
     ``n = max(spec.k_max, largest k) + 2``, which covers a birth from
     ``k_max`` and keeps one table per spec unless a fixed-k chain runs
     beyond ``k_max``."""
@@ -147,7 +147,7 @@ def _k_terms(spec: ModelSpec, n: int, variable_k: bool):
     gaps = 1 if spec.topology == OPEN else 0  # spacings less landmarks
     norms = [_dirichlet_norm(k + gaps, spec.alpha) if k >= k_min else NEG_INF for k in range(n)]
     priors = [log_prior_k(k, spec) if variable_k else 0.0 for k in range(n)]
-    return norms, priors, np.array([norms, priors])
+    return norms, priors, np.array(norms) + np.array(priors)
 
 
 def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
@@ -168,9 +168,9 @@ def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarr
     ``thetas`` (a (B, k) array, or a sequence of vectors of any lengths),
     in one batched evaluation."""
     th, ks = _stack_rows(thetas)
-    if not _row_spacings(th.T, ks, sample.grid.topology)[1].all():
+    if not (_row_spacings(th.T, ks, sample.grid.topology)[1] > 0.0).all():
         raise LandmarkError("invalid landmark vector in the batch")
-    return _error_sq_chunked(sample, th.T, ks)
+    return _error_sq_chunked(sample, th.T)
 
 
 # Rows per call of the batched engine, whose temporaries grow as M * rows
@@ -179,13 +179,12 @@ def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarr
 _BATCH_ROWS = 1024
 
 
-def _error_sq_chunked(sample: CurveSample, th: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _error_sq_chunked(sample: CurveSample, th: np.ndarray) -> np.ndarray:
     """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of
     ``_BATCH_ROWS`` rows."""
     return np.concatenate([
-        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], ks[i : i + _BATCH_ROWS],
-                       sample.grid)
-        for i in range(0, len(ks), _BATCH_ROWS)
+        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], sample.grid)
+        for i in range(0, th.shape[1], _BATCH_ROWS)
     ])
 
 
@@ -292,19 +291,15 @@ def log_posterior_batch(
         if th.ndim != 2 or ks.shape != th.shape[:1] or ks.min() < 1 or ks.max() > th.shape[1]:
             raise LandmarkError("ks must give each row's landmark count, 1 to K")
     th = th.T
-    s, valid = _row_spacings(th, ks, spec.topology)
-    terms = _k_terms(spec, max(spec.k_max, int(ks.max())) + 2, variable_k)[2][:, ks]
-    lp = terms[0]
+    s, least = _row_spacings(th, ks, spec.topology)
+    lp = _k_terms(spec, max(spec.k_max, th.shape[0]) + 2, variable_k)[2].take(ks)
     if spec.alpha != 1.0:  # otherwise the term is 0 * sum, exactly 0
-        lp += (spec.alpha - 1.0) * np.log(np.where(valid, s, 1.0)).sum(axis=0)
-    if variable_k:
-        lp += terms[1]
-    valid &= lp > NEG_INF
+        lp += (spec.alpha - 1.0) * np.log(np.where(least > 0.0, s, 1.0)).sum(axis=0)
+    # the support, and with the likelihood the grid-resolution guard
+    valid = least >= spec.min_spacing if include_likelihood else least > 0.0
     if include_likelihood:
-        valid &= s.min(axis=0) >= spec.min_spacing
         keep = np.flatnonzero(valid)
         if keep.size:
-            total = _error_sq_chunked(sample, th[:, keep], ks[keep])
+            total = _error_sq_chunked(sample, th if keep.size == len(ks) else th.take(keep, 1))
             lp[keep] += _log_marginal_from_error(total, spec, sample.m, np.log)
     return np.where(valid, lp, NEG_INF)
-

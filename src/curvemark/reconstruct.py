@@ -45,20 +45,20 @@ def _valid_spacings(th: list, topology: str) -> list | None:
 
 def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
     """:func:`_valid_spacings` of every row of a (K, B) array, column r
-    holding row r's ``ks[r]`` landmarks padded with its last one: the
-    spacings as :func:`_spacing_list` computes them (1.0 in the padding),
-    as a (spacing, row) array, and which rows are valid."""
+    holding row r's ``ks[r]`` (at least 1) landmarks padded with its last
+    one: the spacings as :func:`_spacing_list` computes them (1.0 in the
+    padding), as a (spacing, row) array, and each row's smallest spacing,
+    or 0 where the row breaks the support or the minimum count.  A row is
+    valid iff that value is > 0."""
     last = th[-1]
     gaps = th[1:] - th[:-1]
     gaps[np.arange(1, len(th))[:, None] >= ks] = 1.0
     if topology == OPEN:
+        # th[0] is the first spacing, and 1 - last > 0 iff last < 1
         s = np.concatenate([th[:1], gaps, (1.0 - last)[None]])
-        first = th[0] > 0.0
-    else:
-        s = np.concatenate([gaps, ((th[0] - last) + 1.0)[None]])
-        first = th[0] >= 0.0
-    valid = (ks >= _min_count(topology)) & first & (last < 1.0)
-    return s, valid & (s > 0.0).all(axis=0)
+        return s, s.min(axis=0)
+    s = np.concatenate([gaps, ((th[0] - last) + 1.0)[None]])
+    return s, s.min(axis=0) * ((ks >= _min_count(topology)) & (th[0] >= 0.0) & (last < 1.0))
 
 
 def theta_is_valid(theta: np.ndarray, topology: str) -> bool:
@@ -270,157 +270,147 @@ def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
 
 class CacheStack:
     """A sample's :class:`CurveCache` buffers stacked as numpy arrays for
-    the batched engine (:func:`_error_sq_rows`): a leading axis of length 2
-    holds the x and y coordinates, the next one the M curves, and the
-    buffer's own axis comes last, except for the polylines, which lie end
-    to end on one axis; per-curve constants are shaped (M, 1, 1) to
-    broadcast against the engine's (coordinate, curve, knot, row) arrays.
+    the batched engine (:func:`_error_sq_rows`).  ``poly`` (2, 2, points)
+    holds the polylines end to end, x and y of each point and then of the
+    step to the next point (finite garbage after a curve's last point,
+    which the engine multiplies by 0); ``sums`` (3, M, 2L) holds each
+    curve's L prefix sums of |q - r|^2 and of -2 (q - r) (x, y), then the
+    same terms of each node and a 0.  Per-curve constants are shaped
+    (M, 1, 1) to broadcast against the engine's (curve, knot, row) arrays.
     """
 
-    __slots__ = ("p", "start", "cells", "last_cell", "q", "neg_r", "s2", "s1")
+    __slots__ = ("poly", "start", "cells", "neg_r", "sums")
 
     def __init__(self, caches: list):
-        # the polylines end to end, (2, points), curve m from start[m] on
-        self.p = np.array([np.concatenate([c.px for c in caches]),
-                           np.concatenate([c.py for c in caches])])
+        p = np.array([np.concatenate([c.px for c in caches]),
+                      np.concatenate([c.py for c in caches])])
+        self.poly = np.array([p, np.diff(p, append=0.0)])
         sizes = np.array([len(c.px) for c in caches])
-        # (M, 1, 1): broadcasts against (knots, rows)
         self.start = (np.cumsum(sizes) - sizes)[:, None, None]
         self.cells = (sizes - 1)[:, None, None].astype(float)
-        self.last_cell = (sizes - 2)[:, None, None]
-        self.q = np.array([[c.qx for c in caches], [c.qy for c in caches]])
         self.neg_r = -np.array([[c.rx for c in caches], [c.ry for c in caches]])[:, :, None, None]
-        self.s2 = np.array([c.s2 for c in caches])
-        self.s1 = np.array([[c.s1x for c in caches], [c.s1y for c in caches]])
+        sums = np.array([[c.s2 for c in caches], [c.s1x for c in caches],
+                         [c.s1y for c in caches]])
+        # then each node's own terms, over as many laps as the sums, and a 0
+        dev = np.array([[c.qx for c in caches], [c.qy for c in caches]]) + self.neg_r[..., 0]
+        dev = np.tile(dev, (sums.shape[-1] - 1) // dev.shape[-1])
+        node = np.concatenate(((dev * dev).sum(axis=0)[None], dev))
+        self.sums = np.concatenate((sums, node, np.zeros(sums.shape[:2] + (1,))), axis=-1)
+        self.sums[1:] *= -2.0
 
 
-def _error_sq_rows(
-    stack: CacheStack, th: np.ndarray, ks: np.ndarray, grid: EvaluationGrid
-) -> np.ndarray:
-    """:func:`_error_sq_sum` of every row of a (K, B) array of valid
-    landmark rows, in one pass of numpy calls with the scalar engine's
-    arithmetic (only the order of the final sums differs).  Column r holds
-    row r's ``ks[r]`` landmarks, padded to K with its last one.
+def _error_sq_rows(stack: CacheStack, th: np.ndarray, grid: EvaluationGrid) -> np.ndarray:
+    """:func:`_error_sq_sum` of every column of a (K, B) array of valid
+    landmark rows, each padded to K with its last landmark, in one pass of
+    numpy calls; it differs from the scalar engine only by rounding.
 
-    Each row follows :func:`_knot_plan`, on a knot table whose entries from
-    the row's end knot (open) or wrap knot (closed) on repeat that knot, so
-    the segments past it are empty.  A knot's dirty candidates are its
-    floor and ceiling nodes; laid out knot by knot, a candidate is listed
-    only if it exceeds every earlier one (and the first knot's floor minus
-    one), which is the scalar engine's running cursor, and lies within the
-    last node.  Candidates not listed are computed and masked out.  Arrays
-    are (coordinate, curve, knot, row), with the axes a value does not
-    carry left out, so the rows are the contiguous axis and every reduction
-    over knots runs across whole rows at once.
+    Each row follows :func:`_knot_plan` with the padding in place: the
+    copies of the last landmark bound empty segments, and their dirty
+    candidates are never listed.  Clean node ranges and dirty nodes are
+    both runs of nodes with one constant reconstruction SRVF (a dirty node
+    is a run of one), so they are scored as one list of pieces with the
+    formula of :class:`CurveCache`; a piece not used is an empty run.  A
+    knot's dirty candidates are its floor and ceiling nodes; laid out knot
+    by knot, a candidate is listed only if it exceeds every earlier one
+    (and the first knot's floor minus one), which is the scalar engine's
+    running cursor, and lies within the last node.  Arrays are
+    (coordinate, curve, piece or knot, row), with the axes a value does not
+    carry left out, so rows are the contiguous axis.
     """
     closed = grid.topology != OPEN
     n = grid.n_eval
     width, rows = th.shape
-    n_seg = ks if closed else ks + 1
-    # the row's last knot (end or wrap) and the padding after it
-    tail = np.arange(width + (1 if closed else 2))[:, None] >= n_seg
-    table = np.empty(tail.shape)
+    # knot parameters and grid positions u (in node units), one row per
+    # knot; a closed curve's wrap knot (the first plus one lap) comes last
     if closed:
-        table[:width] = th
-        taus = np.where(tail, th[:1] + 1.0, table)
-        us = np.where(tail, th[:1] * n + n, table * n)
-        fl, ce = np.floor(us), np.ceil(us)
-        # one grid position per knot: the wrap knot reuses the first's
-        fl = np.where(tail, fl[:1] + n, fl)
-        ce = np.where(tail, ce[:1] + n, ce)
-        last_node = fl[:1] + (n - 1)
+        knots = np.concatenate((th, th[:1] + 1.0))
+        u = th * n
+        us = np.concatenate((u, u[:1] + n))
+        scale = n
         inv_centred = 0.5 * n
     else:
-        table[0] = 0.0
-        table[1:-1] = th
-        taus = np.where(tail, 1.0, table)
-        us = taus * (n - 1)
-        # the end knot stops the last segment's clean range after node n - 1
-        fl, ce = np.where(tail, float(n), np.floor(us)), np.ceil(us)
-        last_node = n - 1
+        edge = np.zeros((1, rows))
+        knots = np.concatenate((edge, th, edge + 1.0))
+        us = knots * (n - 1)
+        u = us[1:-1]
+        scale = n - 1
         inv_centred = 0.5 * (n - 1)
 
-    # knot images (2, M, knots, B), as in _curve_error_sq
-    pos = th * stack.cells
-    i = np.minimum(pos.astype(np.intp), stack.last_cell)
+    # knot images (2, M, knots, B), as in _curve_error_sq; a closed curve's
+    # wrap knot has the first knot's image
+    pos = (th if closed else knots) * stack.cells
+    i = pos.astype(np.intp)
     f = pos - i
     i += stack.start
-    p0 = np.take(stack.p, i, axis=-1)
-    img = p0 + f * (np.take(stack.p, i + 1, axis=-1) - p0)
-    xy = np.empty(img.shape[:2] + tail.shape)
+    corner = stack.poly.take(i, axis=-1)
+    xy = corner[0] + f * corner[1]
     if closed:
-        xy[:, :, :width] = img
-        xy = np.where(tail, img[:, :, :1], xy)
-    else:
-        xy[:, :, 0] = np.take(stack.p, stack.start[:, 0], axis=-1)
-        xy[:, :, 1:-1] = img
-        xy = np.where(tail, np.take(stack.p, stack.start + stack.last_cell + 1, axis=-1), xy)
-    # segment displacements, padded to the knots' layout for flat gathers
-    dxy = np.zeros_like(xy)
-    dxy[:, :, :-1] = xy[:, :, 1:] - xy[:, :, :-1]
+        xy = np.concatenate((xy, xy[:, :, :1]), axis=2)
+    dxy = xy[:, :, 1:] - xy[:, :, :-1]
 
-    # clean node ranges [lo, stop) per segment, from the prefix sums
-    lo = ce[:-1] + 1.0
-    stop = fl[1:]
-    if not closed:
-        lo[0] = 0.0
-    filled = lo < stop
-    n_clean = stop - lo
-    lo, stop = lo.astype(np.intp), stop.astype(np.intp)
-    span = taus[1:] - taus[:-1]
-    v = dxy[:, :, :-1] * np.divide(1.0, span, out=np.zeros_like(span), where=filled)
-    speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
-    # v / sqrt(speed) where the speed reaches ZERO_SPEED, else 0
-    e = np.divide(v, np.sqrt(speed), out=np.zeros_like(v), where=speed >= ZERO_SPEED)
-    e += stack.neg_r
-    s1 = np.take(stack.s1, stop, axis=-1) - np.take(stack.s1, lo, axis=-1)
-    part = (
-        np.take(stack.s2, stop, axis=-1) - np.take(stack.s2, lo, axis=-1)
-        - 2.0 * (e[0] * s1[0] + e[1] * s1[1])
-        + n_clean * (e[0] * e[0] + e[1] * e[1])
-    )
-    total = np.where(filled & (part > 0.0), part, 0.0).sum(axis=1)
-
-    # dirty nodes: the (floor, ceil) candidates of the knots in order, the
-    # interior ones on an open curve (an end knot's floor lies past the
-    # last node, and its ceiling, the last node, right after it), all but
-    # the last on a closed curve (a wrap knot's lie past the last node)
-    knots = slice(0, width) if closed else slice(1, width + 1)
-    cand = np.empty((2 * width, rows))
-    cand[0::2] = fl[knots]
-    cand[1::2] = ce[knots]
-    seen = np.empty_like(cand)
-    seen[0] = fl[0] - 1.0
-    seen[1:] = cand[:-1]
-    np.maximum.accumulate(seen, axis=0, out=seen)
-    listed = (cand > seen) & (cand <= last_node)
-    # stencil ends a = j - 1 and b = j + 1, stacked on a leading axis
+    # dirty candidates, each knot's (floor, ceiling) in knot order; the
+    # knots are sorted, so the largest earlier candidate is the previous
+    # knot's ceiling for a floor, and that or the floor for a ceiling
+    fl, ce = np.floor(u), np.ceil(u)
+    prev = np.concatenate((fl[:1] - 1.0, ce[:-1]))
+    cand = np.concatenate((fl[:, None], ce[:, None]), axis=1)
+    seen = np.concatenate((prev[:, None], np.maximum(prev, fl)[:, None]), axis=1)
+    listed = (cand > seen).reshape(2 * width, rows)
+    cand = cand.reshape(2 * width, rows)
+    if closed:
+        listed &= cand < fl[:1] + n
+    # stencil ends a = j - 1 and b = j + 1 of every candidate j
     ends = cand + np.array([-1.0, 1.0])[:, None, None]
     if closed:
+        ends[0] += n * (ends[0] < u[:1])
         inv = inv_centred
-        ends[0] = np.where(ends[0] < us[:1], ends[0] + n, ends[0])
     else:
         # one-sided at the curve's end nodes: inv is then 2 * inv_centred
         np.maximum(ends[0], 0.0, out=ends[0])
         np.minimum(ends[1], n - 1.0, out=ends[1])
-        inv = np.divide(
-            2.0 * inv_centred, ends[1] - ends[0], out=np.zeros(cand.shape), where=listed
-        )
-    # the segment holding each end: bisect_right over the row's first
-    # n_seg knots, as a count over the knot axis
-    seg = np.minimum((us[:, None, None] <= ends).sum(axis=0), n_seg) - 1
-    at = seg * rows + np.arange(rows)
-    u0 = np.take(us, at)
-    w = np.divide(ends - u0, np.take(us, at + rows) - u0, out=np.zeros(at.shape), where=listed)
+        inv = (2.0 * inv_centred) / (ends[1] - ends[0])
+    # the segment holding each end, bisect_right over the knots: a count
+    # over the knot axis (an open curve's first knot at 0 always counts),
+    # as flat indices into the (knot, row) tables
+    seg = np.add.reduce((u[:, None, None] <= ends).view(np.int8), axis=0, dtype=np.int16)
+    at = np.multiply(seg, rows, dtype=np.intp)
+    at += np.arange(-rows, 0) if closed else np.arange(rows)
+    # each segment's velocity, and its step per node; a padding segment has
+    # span and displacement 0, so any positive floor keeps its velocity 0,
+    # and a real segment below it holds no node
+    clean_v = dxy / np.maximum(knots[1:] - knots[:-1], 1e-300)
+    step = clean_v * (1.0 / scale)
     flat = xy.shape[:2] + (-1,)
-    grid_xy = np.take(xy.reshape(flat), at, axis=-1)
-    step = w * np.take(dxy.reshape(flat), at, axis=-1)
-    v = (grid_xy[:, :, 1] + step[:, :, 1] - grid_xy[:, :, 0] - step[:, :, 0]) * inv
-    q = np.take(stack.q, cand.astype(np.intp) % n, axis=-1)
-    speed = np.sqrt(v[0] * v[0] + v[1] * v[1])
-    e = q - np.divide(v, np.sqrt(speed), out=np.zeros_like(v), where=speed >= ZERO_SPEED)
-    total += np.where(listed, e[0] * e[0] + e[1] * e[1], 0.0).sum(axis=1)
-    return total.sum(axis=0) * grid.dt
+    end_xy = xy.reshape(flat).take(at, axis=-1)
+    end_xy += (ends - us.take(at)) * step.reshape(flat).take(at, axis=-1)
+    dirty_v = (end_xy[:, :, 1] - end_xy[:, :, 0]) * inv
+
+    # pieces: the segments' clean node ranges [lo, stop) (stop = lo if empty)
+    # from the prefix sums, then the dirty nodes from each node's own terms
+    n_sum = stack.sums.shape[-1] // 2
+    dirty = np.where(listed, cand + n_sum, 2 * n_sum - 1)
+    if closed:
+        node = np.concatenate((ce + 1.0, fl[1:], fl[:1] + n, dirty))
+    else:
+        node = np.concatenate((edge, ce + 1.0, fl, edge + n, dirty))
+    n_seg = len(dxy[0, 0])
+    lo, stop = node[:n_seg], node[n_seg : 2 * n_seg]
+    np.maximum(stop, lo, out=stop)
+    count = np.concatenate((stop - lo, listed))
+    sums = stack.sums.take(node.astype(np.intp), axis=-1)
+    d = sums[:, :, n_seg:]
+    d[:, :, :n_seg] -= sums[:, :, :n_seg]
+    v = np.concatenate((clean_v, dirty_v), axis=2)
+    speed = np.sqrt(np.add.reduce(v * v))
+    # v / sqrt(speed) where the speed reaches ZERO_SPEED, else 0
+    e = v / np.where(speed >= ZERO_SPEED, np.sqrt(speed), np.inf)
+    e += stack.neg_r
+    # sum|q - r|^2 + (c - r) . (count (c - r) - 2 sum(q - r)), per piece
+    d[1:] += e * count
+    d[1:] *= e
+    part = np.add.reduce(d)
+    return np.maximum(part, 0.0, out=part).sum(axis=(0, 1)) * grid.dt
+
 
 
 def _error_sq_sum(caches: list, th: list, grid: EvaluationGrid) -> float:

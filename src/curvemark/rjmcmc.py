@@ -22,7 +22,6 @@ from .rwm import (
     PosteriorSampleSet,
     _decide,
     _sample_chain,
-    _pick_index,
     _stay_values,
     draw_initial_theta,
     rwm_step,
@@ -78,7 +77,7 @@ def propose_death(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
     if log_ratio == NEG_INF:
         raise ValueError("death move proposed at the minimum landmark count")
     th = theta.tolist()
-    del th[_pick_index(where, k)]
+    del th[min(int(where * k), k - 1)]
     return np.array(th), log_ratio
 
 
@@ -89,24 +88,23 @@ def _jump_block(theta, block, move, sd, topology, move_probs):
     (k + 1, B) array with one column per row, each padded with its last
     landmark, the rows' landmark counts and log proposal ratios."""
     k = theta.size
-    closed = topology == CLOSED
-    stay = move == 2
-    j, v = _stay_values(theta, block, sd, closed)
-    r = np.arange(len(block))
-    # theta with a stay's component replaced, a death's removed (set to
-    # inf and sorted to the end) and a birth's location appended
-    rows = np.empty((k + 1, len(block)))
-    rows[:k] = theta[:, None]
-    rows[j, r] = np.where(stay, v, np.where(move == 1, np.inf, theta[j]))
-    rows[k] = np.where(move == 0, block[:, 1], np.inf)
-    if closed:
-        rows.sort(axis=0)
-    else:  # an open stay keeps its place, so that a broken order is rejected
-        rows[:, ~stay] = np.sort(rows[:, ~stay], axis=0)
-    ks = np.array([k + 1, k - 1, k])[move]
-    rows = rows[np.minimum(np.arange(k + 1)[:, None], ks - 1), r]
-    birth, death = _jump_log_ratios(k, topology, tuple(move_probs))
-    return rows, ks, np.array([birth, death, 0.0])[move]
+    birth, death = move == 0, move == 1
+    j, v = _stay_values(theta, block, sd, topology == CLOSED)
+    # theta with a stay's component replaced, a death's removed (set to inf
+    # and sorted to the end) and a birth's location in an extra row (inf
+    # for the other moves)
+    rows = np.repeat(np.concatenate((theta, [np.inf]))[:, None], len(block), axis=1)
+    rows[np.where(birth, k, j), np.arange(len(block))] = np.where(
+        birth, block[:, 1], np.where(death, np.inf, v))
+    # an open stay keeps its place, so that a broken order is rejected
+    srt = np.sort(rows, axis=0)
+    rows = srt if topology == CLOSED else np.where(move == 2, rows, srt)
+    # pad each row with its last landmark
+    rows[k - 1] = np.where(death, rows[k - 2], rows[k - 1])
+    rows[k] = np.where(birth, rows[k], rows[k - 1])
+    ratio_b, ratio_d = _jump_log_ratios(k, topology, tuple(move_probs))
+    ks, ratios = np.array([[k + 1, k - 1, k], [ratio_b, ratio_d, 0.0]]).take(move, axis=1)
+    return rows, ks.astype(np.intp), ratios
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
@@ -133,28 +131,20 @@ def run_rjmcmc(
     rng = np.random.default_rng(cfg.seed)
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
+    var, move_probs = cfg.proposal_var, cfg.move_probs
 
     def step(th, lp, row, move, logp_new=None):
         if move == 2:
-            return rwm_step(
-                th,
-                lp,
-                sample,
-                spec,
-                cfg.proposal_var,
-                row,
-                variable_k=True,
-                prior_only=prior_only,
-                logp_new=logp_new,
-            )
+            return rwm_step(th, lp, sample, spec, var, row, True, prior_only, logp_new)
         if move == 0:
-            prop, log_ratio = propose_birth(th, row[1], spec, cfg.move_probs)
+            prop, log_ratio = propose_birth(th, row[1], spec, move_probs)
         else:
-            prop, log_ratio = propose_death(th, row[1], spec, cfg.move_probs)
-        if logp_new is None:
-            logp_new = log_posterior_theta(
-                sample, prop, spec, variable_k=True, include_likelihood=not prior_only
-            )
+            prop, log_ratio = propose_death(th, row[1], spec, move_probs)
+        if logp_new is not None:  # a batched score that rejects by a clear margin
+            return th, lp, False
+        logp_new = log_posterior_theta(
+            sample, prop, spec, variable_k=True, include_likelihood=not prior_only
+        )
         return _decide(th, lp, prop, logp_new, log_ratio, row[2])
 
     return _sample_chain(

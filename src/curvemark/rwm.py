@@ -127,11 +127,6 @@ def _random_table(rng: np.random.Generator, rows: int) -> np.ndarray:
     return np.column_stack((rng.random((rows, 3)), rng.standard_normal(rows)))
 
 
-def _pick_index(where: float, k: int) -> int:
-    """The landmark index a table row's ``where`` value picks."""
-    return min(int(where * k), k - 1)
-
-
 def _wrap(v: float) -> float:
     """``v`` mod 1 in [0, 1): a value just below 0 whose remainder rounds
     up to 1.0 wraps to 0.0."""
@@ -143,7 +138,7 @@ def _propose_stay(theta: np.ndarray, row, topology: str, sd: float) -> np.ndarra
     """Random-walk proposal of the component the table row picks; closed
     curves wrap it mod 1 and re-sort."""
     prop = theta.tolist()
-    j = _pick_index(row[1], len(prop))
+    j = min(int(row[1] * len(prop)), len(prop) - 1)  # the index the row's where picks
     prop[j] += row[3] * sd
     if topology == CLOSED:
         prop[j] = _wrap(prop[j])
@@ -202,38 +197,37 @@ def rwm_step(
     vector is re-sorted), open-curve proposals that break the ordering
     carry prior support 0 and are auto-rejected.  ``logp_new``, when
     given, is taken as the proposal's log posterior instead of evaluating
-    it (the block loop of the samplers passes the batched score of a
-    proposal it has already built).  Returns ``(theta, logp, accepted)``.
+    it, and the proposal is built only if it is accepted (the block loop
+    of the samplers passes the batched score of a proposal it has already
+    built).  Returns ``(theta, logp, accepted)``.
     """
+    if logp_new is not None:
+        _, logp, accepted = _decide(theta, logp, None, logp_new, 0.0, row[2])
+        if not accepted:
+            return theta, logp, False
+        return _propose_stay(theta, row, spec.topology, math.sqrt(proposal_var)), logp, True
     prop = _propose_stay(theta, row, spec.topology, math.sqrt(proposal_var))
-    if logp_new is None:
-        logp_new = log_posterior_theta(
-            sample,
-            prop,
-            spec,
-            variable_k=variable_k,
-            include_likelihood=not prior_only,
-        )
+    logp_new = log_posterior_theta(
+        sample, prop, spec, variable_k=variable_k, include_likelihood=not prior_only
+    )
     return _decide(theta, logp, prop, logp_new, 0.0, row[2])
 
 
 # Blocks along the rejection path: a chain that has just rejected at least
 # _RUN_FOR_BLOCKS proposals in a row, and has accepted at most
 # _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals in
-# blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run), remaining
-# iterations): 64 rows after the first rejection, then 128 while the run
-# lasts.  A batched call costs 200-400 us at 8 rows and 300-550 us at 128
-# (one curve, N = 100, k = 4, 2-vCPU x86), a scalar step 40-60 us.
-# Without the acceptance gate, chains accepting 9-43% of their proposals
-# ran 1.1-2.6x slower (sine, N=25, k=2).  Against opening after 4
-# rejections with 2 * run rows, this rule ran the paper's RJMCMC run (0.3%
-# acceptance) in 0.86x the time, five closed outlines (0.9%) in 0.94x and
-# two at N=64 (3-4%, fixed and variable k) in 0.73x and 0.86x, where a
-# flat 128-row block ran 1.22x and 1.15x slower than this rule.  A batched
-# score decides a row only when it rejects by more than
-# _MARGIN * (1 + |score|) in log units, far above the rounding by which it
-# differs from the scalar log posterior; every other row is scored again
-# by the scalar log posterior.
+# blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, its mean run of
+# rejections so far), remaining iterations).  A block's build, batched call
+# and decision cost about 150 us at 1 row plus about 2 us per further row
+# up to 128 (one open curve, N = 100, k = 4, 2-vCPU x86; up to 1.5x that
+# inside a chain), a scalar step 40-60 us.  Without the acceptance gate,
+# chains accepting 9-43% ran 1.1-2.6x slower (sine, N=25, k=2).  Sizing
+# the first block by the mean run ran the paper's RJMCMC run (0.3%
+# acceptance) 3-6% faster than 64 rows; a flat 128 rows ran chains
+# accepting 2.7-4.8% up to 1.33x slower.  A batched score decides a row
+# only when it rejects by at least _MARGIN * (1 + |score|) in log units,
+# far above the rounding by which it differs from the scalar log
+# posterior; every other row is scored again by the scalar log posterior.
 _RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
@@ -255,7 +249,8 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     count k.  ``step(theta, logp, row, move, logp_new=None) -> (theta,
     logp, accepted)`` is one iteration through the public move functions
     (``rwm_step``, ``propose_birth``, ``propose_death``), which score the
-    proposal with the scalar log posterior unless ``logp_new`` is given;
+    proposal with the scalar log posterior unless ``logp_new``, a batched
+    score that rejects by a clear margin, is given;
     ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
     proposals of a slice of the table, with their moves, from ``theta`` at
     once, as a (K, B) array with one column per row, padded with its last
@@ -270,7 +265,9 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     scalar log posterior otherwise.  So the public move functions run once
     per iteration, in chain order, and every accept test is the
     one-at-a-time chain's own: the chain is the one-at-a-time chain, draw
-    for draw, log posteriors included.
+    for draw, log posteriors included.  A state has at most k distinct
+    death proposals, so their batched scores are kept until the state
+    changes, and a block scores only its rows without one.
     """
     burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
     kept_theta: list[np.ndarray] = []
@@ -300,6 +297,26 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             rows = rows[t - base :] + chunk.tolist()
             base = t
 
+    # the state whose death scores (landmark index -> score) `dead` holds
+    owner, dead = None, {}
+
+    def scores(block, moves, props, ks):
+        """A block's batched scores, with each state's deaths scored once."""
+        nonlocal owner, dead
+        if owner is not theta:
+            owner, dead = theta, {}
+        deaths = np.flatnonzero(moves == 1)
+        picks = np.minimum((block[deaths, 1] * theta.size).astype(np.intp), theta.size - 1).tolist()
+        # landmark index -> the block's first row removing it, if not yet scored
+        new = {j: i for i, j in zip(deaths[::-1].tolist(), picks[::-1]) if j not in dead}
+        todo = np.concatenate((np.flatnonzero(moves != 1), list(new.values()))).astype(np.intp)
+        lps = np.empty(len(moves))
+        if todo.size:
+            lps[todo] = got = score(props.take(todo, 1), ks.take(todo))
+            dead.update(zip(new, got[len(todo) - len(new) :].tolist()))
+        lps[deaths] = [dead[j] for j in picks]
+        return lps
+
     run = t = 0
     while t < cfg.n_iter:
         if run < _RUN_FOR_BLOCKS or sum(accepts) > _BLOCK_ACCEPT_RATE * t:
@@ -315,22 +332,26 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             keep(t, t + 1, theta, logp)
             t += 1
             continue
-        size = min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run), cfg.n_iter - t)
+        size = min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)), cfg.n_iter - t)
         reach(t + size)
         block = table[t - base : t - base + size]
         pb, pd, _ = probs(theta.size)
-        moves = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
+        moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
         props, ks, ratios = build(theta, block, moves)
-        lps = score(props, ks)
+        lps = scores(block, moves, props, ks) if pd else score(props, ks)
+        # a score of -inf gives margin -inf, at or below any bound
         margin = ((lps - logp) + ratios) - np.log(block[:, 2])
-        sure = ((lps == NEG_INF) | (margin < -_MARGIN * (1.0 + np.abs(lps)))).tolist()
-        lps = lps.tolist()
+        sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
         theta0, logp0 = theta, logp
-        for i, (row, move) in enumerate(zip(rows[t - base : t - base + size], moves.tolist())):
-            theta, logp, acc = step(theta, logp, row, move, lps[i] if sure[i] else None)
-            proposed[move] += 1
+        i = -1
+        for row, move, lp, given in zip(rows[t - base : t - base + size], moves.tolist(),
+                                       lps.tolist(), sure):
+            theta, logp, acc = step(theta, logp, row, move, lp if given else None)
+            i += 1
             if acc:
                 break
+        for kind, n in enumerate(np.bincount(moves[: i + 1], minlength=len(_MOVES)).tolist()):
+            proposed[kind] += n
         keep(t, t + i, theta0, logp0)
         keep(t + i, t + i + 1, theta, logp)
         t += i + 1

@@ -213,3 +213,61 @@ def test_one_public_move_call_per_iteration(name, references, monkeypatch):
     )
     assert abs(accepted - ref[3] * len(calls)) <= 1
     assert share > 0.2
+
+
+def scored_rows(monkeypatch):
+    """Record each block of a variable-k chain's state and the rows that
+    reach log_posterior_batch, as (block, landmarks); returns the lists."""
+    states, rows = [], []
+    build, batch = rjmcmc._jump_block, rwm.log_posterior_batch
+
+    def recording_build(theta, *args):
+        states.append(theta)
+        return build(theta, *args)
+
+    def recording_batch(sample, thetas, spec, ks=None, **kwargs):
+        rows.extend((len(states) - 1, tuple(th[:k])) for th, k in zip(thetas.tolist(), ks.tolist()))
+        return batch(sample, thetas, spec, ks=ks, **kwargs)
+
+    monkeypatch.setattr(rjmcmc, "_jump_block", recording_build)
+    monkeypatch.setattr(rwm, "log_posterior_batch", recording_batch)
+    return states, rows
+
+
+def deaths_by_visit(states, rows):
+    """Each block's visit (a state's stay, from the block whose state is a
+    new object on), and the scored death rows, {visit: [(block, row)]}."""
+    visits = np.cumsum([i == 0 or th is not states[i - 1] for i, th in enumerate(states)])
+    deaths = {}
+    for block, row in rows:
+        if len(row) == states[block].size - 1:
+            deaths.setdefault(visits[block], []).append((block, row))
+    return visits, deaths
+
+
+@pytest.mark.parametrize("name", ["open-variable", "closed-variable"])
+def test_each_death_proposal_scored_once_per_state(name, references, monkeypatch):
+    case, ref = references[name]
+    states, rows = scored_rows(monkeypatch)
+    res, _ = run_case(case, monkeypatch)
+    assert_same_chain(res, ref)
+    _, deaths = deaths_by_visit(states, rows)
+    for visit in deaths.values():
+        assert len({row for _, row in visit}) == len(visit)
+    assert 0 < sum(map(len, deaths.values())) < res.moves["death"]["proposed"] / 2
+
+
+def test_death_accepted_after_its_score_was_kept(monkeypatch):
+    # a death accepted in a later block than the one that scored it, in a
+    # chain that equals the one-at-a-time chain
+    sample, spec, cfg, k, variable_k, prior_only = case = rjmcmc_case(
+        sine_sample(100), 1e-6, n_iter=6000, seed=7)
+    ref = oracles.one_at_a_time_chain(sample, spec, cfg, k=k, variable_k=True)
+    states, rows = scored_rows(monkeypatch)
+    res, _ = run_case(case, monkeypatch)
+    assert_same_chain(res, ref)
+    visits, deaths = deaths_by_visit(states, rows)
+    kept = [b for b in range(1, len(states)) if visits[b] != visits[b - 1] and any(
+        row == tuple(states[b].tolist()) and block < b - 1
+        for block, row in deaths.get(visits[b - 1], []))]
+    assert kept

@@ -80,6 +80,15 @@ class TestCurveCsv:
         with pytest.raises(cm.InputError, match="2 columns"):
             load_curve_csv(str(p))
 
+    def test_empty_cell_inside_a_row_names_row(self, tmp_path):
+        # empty cells end a row only after its last value: 1,,1 is not (1, 1)
+        p = tmp_path / "gap.csv"
+        p.write_text("x,y\n0.0,0.0,\n0.5,,0.2\n1.0,0.0\n")
+        with pytest.raises(cm.InputError, match=r"gap\.csv:3"):
+            load_curve_csv(str(p))
+        p.write_text("x,y\n0.0,0.0,\n0.5,0.2,,\n1.0,0.0\n")
+        assert load_curve_csv(str(p)).tolist() == [[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]
+
     def test_missing_file(self):
         with pytest.raises(cm.InputError):
             load_curve_csv("/nonexistent/file.csv")
@@ -321,6 +330,21 @@ class TestCli:
             record = json.load(fh)
         assert record["config"]["out_dir"] == out
         assert record["config"]["k"] == 3
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"n_iter": "5000"}', "n_iter"),
+        ('{"n_iter": 5000.5}', "n_iter"),
+        ('{"curves": "a.csv"}', "curves"),
+        ("[1, 2]", "JSON object"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, text, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["run-fixed", "--config", str(cfg_path), "--k", "3",
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg_path}: ") and field in err
 
     def test_rjmcmc_subcommand(self, tmp_path):
         curve_path = str(tmp_path / "sine.csv")
