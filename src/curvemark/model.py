@@ -180,8 +180,7 @@ _BATCH_ROWS = 1024
 
 
 def _error_sq_chunked(sample: CurveSample, th: np.ndarray) -> np.ndarray:
-    """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of
-    ``_BATCH_ROWS`` rows."""
+    """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of ``_BATCH_ROWS`` rows."""
     return np.concatenate([
         _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], sample.grid)
         for i in range(0, th.shape[1], _BATCH_ROWS)
@@ -299,7 +298,10 @@ def log_posterior_batch(
     valid = least >= spec.min_spacing if include_likelihood else least > 0.0
     if include_likelihood:
         keep = np.flatnonzero(valid)
+        if keep.size == len(ks):  # every row is scored: no selection, no -inf
+            total = _error_sq_chunked(sample, th)
+            return lp + _log_marginal_from_error(total, spec, sample.m, np.log)
         if keep.size:
-            total = _error_sq_chunked(sample, th if keep.size == len(ks) else th.take(keep, 1))
+            total = _error_sq_chunked(sample, th.take(keep, 1))
             lp[keep] += _log_marginal_from_error(total, spec, sample.m, np.log)
     return np.where(valid, lp, NEG_INF)

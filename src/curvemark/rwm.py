@@ -225,9 +225,9 @@ def rwm_step(
 # the first block by the mean run ran the paper's RJMCMC run (0.3%
 # acceptance) 3-6% faster than 64 rows; a flat 128 rows ran chains
 # accepting 2.7-4.8% up to 1.33x slower.  A batched score decides a row
-# only when it rejects by at least _MARGIN * (1 + |score|) in log units,
-# far above the rounding by which it differs from the scalar log
-# posterior; every other row is scored again by the scalar log posterior.
+# only when it rejects by at least _MARGIN * (1 + |score|) in log units (as
+# -inf does), far above the rounding by which it differs from the scalar
+# log posterior; every other row is scored again by the scalar one.
 _RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
@@ -339,7 +339,6 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
         moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
         props, ks, ratios = build(theta, block, moves)
         lps = scores(block, moves, props, ks) if pd else score(props, ks)
-        # a score of -inf gives margin -inf, at or below any bound
         margin = ((lps - logp) + ratios) - np.log(block[:, 2])
         sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
         theta0, logp0 = theta, logp
