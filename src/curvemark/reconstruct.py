@@ -48,8 +48,7 @@ def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
     holding row r's ``ks[r]`` (at least 1) landmarks padded with its last
     one: the spacings as :func:`_spacing_list` computes them (1.0 in the
     padding), as a (spacing, row) array, and each row's smallest spacing,
-    or 0 where the row breaks the support or the minimum count.  A row is
-    valid iff that value is > 0."""
+    or 0 where it breaks the support or minimum count (valid iff > 0)."""
     last = th[-1]
     gaps = th[1:] - th[:-1]
     gaps[np.arange(1, len(th))[:, None] >= ks] = 1.0
@@ -58,7 +57,8 @@ def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
         s = np.concatenate([th[:1], gaps, (1.0 - last)[None]])
         return s, s.min(axis=0)
     s = np.concatenate([gaps, ((th[0] - last) + 1.0)[None]])
-    return s, s.min(axis=0) * ((ks >= _min_count(topology)) & (th[0] >= 0.0) & (last < 1.0))
+    ok = (ks >= _min_count(topology)) & (th[0] >= 0.0) & (last < 1.0)
+    return s, np.where(ok, s.min(axis=0), 0.0)
 
 
 def theta_is_valid(theta: np.ndarray, topology: str) -> bool:

@@ -188,6 +188,13 @@ class TestSamplesPersistence:
             cm.read_samples_csv(str(path))
         assert main(["summarize", "--samples", str(path), "--out-dir", str(tmp_path)]) == 1
 
+    def test_closed_row_with_an_infinite_landmark_rejected(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("iteration,k,theta_1,theta_2,theta_3,log_post,topology\n"
+                        "0,3,0.1,0.4,0.7,-1.0,closed\n1,3,0.1,0.4,inf,-1.0,closed\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{path}:3:")):
+            cm.read_samples_csv(str(path))
+
     def test_missing_table_exit_code_1(self, tmp_path, capsys):
         path = str(tmp_path / "missing.csv")
         with pytest.raises(cm.InputError, match=re.escape(path)):
