@@ -24,7 +24,7 @@ from .io import (
     write_curve_csv,
     write_dk2_csv,
 )
-from .reconstruct import LandmarkError
+from .reconstruct import LandmarkError, k_min_for
 from .rjmcmc import run_rjmcmc
 from .rwm import run_chain
 from .summaries import distance_criterion, marginal_density, summarize
@@ -93,16 +93,25 @@ def _merged_config(args: argparse.Namespace, mode: str) -> RunConfig:
         cfg = RunConfig()
     cfg.mode = mode
     # every flag named after a config field overrides it (no flag is named
-    # mode or k_range)
+    # mode or k_range); --k-min and --k-max override their own end of
+    # k_range, which without the config field needs both
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    if getattr(args, "k_min", None) is not None and getattr(args, "k_max", None) is not None:
-        cfg.k_range = [args.k_min, args.k_max]
+    ends = [getattr(args, "k_min", None), getattr(args, "k_max", None)]
+    if cfg.k_range or None not in ends:
+        cfg.k_range = [new if new is not None else old
+                       for new, old in zip(ends, cfg.k_range or ends)]
     if not cfg.curves:
         raise InputError("no input curves given (flag --curves or config field)")
     return cfg
+
+
+def _check_count(flag: str, k: int, topology: str) -> None:
+    """Reject a landmark count below the topology's minimum, naming its flag."""
+    if k < k_min_for(topology):
+        raise InputError(f"{flag} {k} is below the {topology}-curve minimum, {k_min_for(topology)}")
 
 
 def _summaries_and_densities(result):
@@ -129,6 +138,7 @@ def cmd_run_fixed(args) -> int:
     if cfg.k is None:
         raise InputError("run-fixed requires --k (or the k config field)")
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
+    _check_count("--k", cfg.k, cfg.topology)
     result = run_chain(sample, cfg.spec(), cfg.chain(), k=cfg.k)
     result, summary, densities = _summaries_and_densities(result)
     summary["moves"] = result.moves
@@ -161,6 +171,9 @@ def cmd_criterion(args) -> int:
         raise InputError("criterion requires --k-min/--k-max (or the k_range field)")
     k_lo, k_hi = cfg.k_range
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
+    _check_count("--k-min", k_lo, cfg.topology)
+    if k_hi < k_lo:
+        raise InputError(f"--k-max {k_hi} is below --k-min {k_lo}")
     table = distance_criterion(sample, cfg.spec(), range(k_lo, k_hi + 1), cfg.chain())
     path = write_dk2_csv(cfg.out_dir, table)
     for k, d in table:
@@ -183,6 +196,8 @@ def cmd_summarize(args) -> int:
 def cmd_generate(args) -> int:
     params = {"n": args.n}
     if args.cut is not None:
+        if args.name != "cut-half-circle":
+            raise InputError("--cut applies only to cut-half-circle")
         params["cut"] = args.cut
     curves = generate(args.name, **params)
     if len(curves) == 1:

@@ -16,22 +16,15 @@ import numpy as np
 from .curves import OPEN, CurveError, EvaluationGrid, compute_srvf
 from .reconstruct import (
     CacheStack,
-    CurveCache,
     LandmarkError,
     _error_sq_rows,
     _error_sq_sum,
-    _min_count,
     _row_spacings,
     _valid_spacings,
+    k_min_for,
 )
 
 NEG_INF = float("-inf")
-
-
-def k_min_for(topology: str) -> int:
-    """Smallest admissible landmark count: 1 for open curves, 3 for closed
-    (a closed reconstruction needs three vertices)."""
-    return _min_count(topology)
 
 
 @dataclass(frozen=True)
@@ -74,15 +67,12 @@ class ModelSpec:
 @dataclass
 class CurveSample:
     """Preprocessed curves with their SRVFs on a shared grid (one (N, 2)
-    array per curve), plus the per-curve buffers the likelihood reads
-    (:class:`CurveCache`) and the same buffers stacked for batched
-    evaluation (:class:`CacheStack`)."""
+    array per curve).  What the likelihood reads of them
+    (:class:`CacheStack`) is built on first use."""
 
     curves: list
     srvfs: list
     grid: EvaluationGrid
-    caches: list
-    stack: CacheStack
 
     @classmethod
     def build(cls, curves, grid: EvaluationGrid) -> "CurveSample":
@@ -92,9 +82,11 @@ class CurveSample:
         for c in curves:
             if c.topology != grid.topology:
                 raise CurveError("all curves must share the grid topology")
-        srvfs = [compute_srvf(c, grid) for c in curves]
-        caches = [CurveCache(c, q) for c, q in zip(curves, srvfs)]
-        return cls(curves, srvfs, grid, caches, CacheStack(caches))
+        return cls(curves, [compute_srvf(c, grid) for c in curves], grid)
+
+    @functools.cached_property
+    def stack(self) -> CacheStack:
+        return CacheStack(self.curves, self.srvfs)
 
     @property
     def m(self) -> int:
@@ -155,12 +147,12 @@ def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
     the discrete squared L2 distance between the SRVFs of a curve and of
     its linear reconstruction through the landmarks ``theta``, read from
     each curve's cached prefix sums in O(k) (see
-    :class:`~curvemark.reconstruct.CurveCache`).
+    :class:`~curvemark.reconstruct.CacheStack`).
 
     Both SRVFs come from the same centred finite differences on the grid
     (one-sided at open ends), so the two sides share discretization bias.
     """
-    return _error_sq_sum(sample.caches, _floats(theta), sample.grid)
+    return _error_sq_sum(sample.stack, _floats(theta), sample.grid)
 
 
 def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarray:

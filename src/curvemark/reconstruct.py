@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -24,15 +23,16 @@ def _spacing_list(th: list, topology: str) -> list:
     return gaps + [th[0] - th[-1] + 1.0]
 
 
-def _min_count(topology: str) -> int:
-    """Smallest landmark count of a topology: 1 open, 3 closed."""
+def k_min_for(topology: str) -> int:
+    """Smallest admissible landmark count: 1 for open curves, 3 for closed
+    (a closed reconstruction needs three vertices)."""
     return 1 if topology == OPEN else 3
 
 
 def _valid_spacings(th: list, topology: str) -> list | None:
     """Spacings of a landmark list, or None when the list violates the
     ordering, support or minimum count of its topology."""
-    if len(th) < _min_count(topology) or not th[-1] < 1.0:
+    if len(th) < k_min_for(topology) or not th[-1] < 1.0:
         return None
     if not (0.0 < th[0] if topology == OPEN else 0.0 <= th[0]):
         return None
@@ -57,7 +57,7 @@ def _row_spacings(th: np.ndarray, ks: np.ndarray, topology: str):
         s = np.concatenate([th[:1], gaps, (1.0 - last)[None]])
         return s, s.min(axis=0)
     s = np.concatenate([gaps, ((th[0] - last) + 1.0)[None]])
-    ok = (ks >= _min_count(topology)) & (th[0] >= 0.0) & (last < 1.0)
+    ok = (ks >= k_min_for(topology)) & (th[0] >= 0.0) & (last < 1.0)
     return s, np.where(ok, s.min(axis=0), 0.0)
 
 
@@ -113,40 +113,6 @@ def linear_reconstruction(
     x = np.interp(nodes, knot_t, knot_xy[:, 0])
     y = np.interp(nodes, knot_t, knot_xy[:, 1])
     return PlanarCurve(np.column_stack([x, y]), curve.topology)
-
-
-class CurveCache:
-    """What the likelihood reads of one curve, in flat float buffers: the
-    polyline (closed curves repeat the first point at the end), the data
-    SRVF on the grid, its mean r, and prefix sums of |q - r|^2 and q - r.
-
-    Between knots the reconstruction is a straight line, so its SRVF is one
-    constant c on every node whose difference stencil stays inside the
-    segment; such a run of nodes contributes
-    sum|q - r|^2 - 2 (c - r) . sum(q - r) + n |c - r|^2, read in O(1) from
-    the prefix sums.  Centring on r keeps the three terms small where the
-    fit is good, so little cancels.
-    """
-
-    __slots__ = ("px", "py", "qx", "qy", "rx", "ry", "s2", "s1x", "s1y")
-
-    def __init__(self, curve: PlanarCurve, q_values: np.ndarray):
-        pts = np.vstack([curve.points, curve.points[:1]]) if curve.closed else curve.points
-        self.px = array("d", pts[:, 0].tolist())
-        self.py = array("d", pts[:, 1].tolist())
-        q = np.asarray(q_values, dtype=float)
-        r = q.mean(axis=0)
-        dev = q - r
-        self.qx = array("d", q[:, 0].tolist())
-        self.qy = array("d", q[:, 1].tolist())
-        self.rx, self.ry = float(r[0]), float(r[1])
-        if curve.closed:
-            # over two laps of the nodes, so the wrap segment is one range
-            dev = np.vstack([dev, dev])
-        zero = np.zeros(1)
-        self.s2 = array("d", np.concatenate([zero, np.cumsum(np.sum(dev * dev, axis=1))]).tolist())
-        self.s1x = array("d", np.concatenate([zero, np.cumsum(dev[:, 0])]).tolist())
-        self.s1y = array("d", np.concatenate([zero, np.cumsum(dev[:, 1])]).tolist())
 
 
 def _knot_plan(th: list, n: int, closed: bool):
@@ -210,11 +176,12 @@ def _knot_plan(th: list, n: int, closed: bool):
     return clean, dirty
 
 
-def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
-    """Summed squared SRVF difference over the grid nodes of one curve
-    (not yet weighted by the grid spacing)."""
+def _curve_error_sq(c: tuple, th: list, closed: bool, plan) -> float:
+    """Summed squared SRVF difference over the grid nodes of one curve, read
+    from its :class:`CacheStack` buffers (not yet weighted by the grid
+    spacing)."""
     clean, dirty = plan
-    px, py = c.px, c.py
+    px, py, qx, qy, s2, s1x, s1y, rx, ry = c
     cell = len(px) - 1
     xs, ys = [], []
     if not closed:
@@ -235,8 +202,6 @@ def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
 
     dxs = [b - a for a, b in zip(xs, xs[1:])]
     dys = [b - a for a, b in zip(ys, ys[1:])]
-    rx, ry = c.rx, c.ry
-    s2, s1x, s1y = c.s2, c.s1x, c.s1y
     total = 0.0
     for s, a, b, inv_h in clean:
         vx, vy = dxs[s] * inv_h, dys[s] * inv_h
@@ -254,7 +219,6 @@ def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
         if part > 0.0:
             total += part
 
-    qx, qy = c.qx, c.qy
     for j, sa, wa, sb, wb, inv in dirty:
         vx = (xs[sb] + wb * dxs[sb] - xs[sa] - wa * dxs[sa]) * inv
         vy = (ys[sb] + wb * dys[sb] - ys[sa] - wa * dys[sa]) * inv
@@ -269,33 +233,58 @@ def _curve_error_sq(c: CurveCache, th: list, closed: bool, plan) -> float:
 
 
 class CacheStack:
-    """A sample's :class:`CurveCache` buffers stacked as numpy arrays for
-    the batched engine (:func:`_error_sq_rows`).  ``poly`` (2, 2, points)
-    holds the polylines end to end, x and y of each point and then of the
-    step to the next point (finite garbage after a curve's last point,
-    which the engine multiplies by 0); ``sums`` (3, M, 2L) holds each
-    curve's L prefix sums of |q - r|^2 and of -2 (q - r) (x, y), then the
-    same terms of each node and a 0.  Per-curve constants are shaped
-    (M, 1, 1) to broadcast against the engine's (curve, knot, row) arrays.
+    """What the likelihood reads of a sample's curves, computed once from
+    the curves and their SRVFs on the grid and served to both error
+    engines.
+
+    Between knots the reconstruction is a straight line, so its SRVF is one
+    constant c on every node whose difference stencil stays inside the
+    segment; such a run of nodes contributes
+    sum|q - r|^2 - 2 (c - r) . sum(q - r) + n |c - r|^2, read in O(1) from
+    prefix sums of |q - r|^2 and q - r, r the mean of the curve's SRVF q.
+    Centring on r keeps the three terms small where the fit is good, so
+    little cancels.  A closed curve's sums run over two laps of the nodes,
+    so the wrap segment is one range.
+
+    ``curves`` holds, per curve, what the scalar engine
+    (:func:`_curve_error_sq`) reads as Python floats: buffers of the
+    polyline's x and y (closed curves repeat the first point at the end),
+    of q's x and y and of the prefix sums of |q - r|^2 and q - r (x, y),
+    then r's x and y.  The batched engine (:func:`_error_sq_rows`) reads them stacked: ``poly``
+    (2, 2, points) holds the polylines end to end, x and y of each point
+    and then of the step to the next point (finite garbage after a curve's
+    last point, which the engine multiplies by 0); ``sums`` (3, M, 2L)
+    holds each curve's L prefix sums of |q - r|^2 and of -2 (q - r) (x,
+    y), then the same terms of each node and a 0.  Per-curve constants are
+    shaped (M, 1, 1) to broadcast against the engine's (curve, knot, row)
+    arrays.
     """
 
-    __slots__ = ("poly", "start", "cells", "neg_r", "sums")
+    __slots__ = ("curves", "poly", "start", "cells", "neg_r", "sums")
 
-    def __init__(self, caches: list):
-        p = np.array([np.concatenate([c.px for c in caches]),
-                      np.concatenate([c.py for c in caches])])
+    def __init__(self, curves: list, srvfs: list):
+        self.curves = []
+        polys, rs, sums = [], [], []
+        for curve, q in zip(curves, srvfs):
+            pts = np.vstack([curve.points, curve.points[:1]]) if curve.closed else curve.points
+            r = q.mean(axis=0)
+            dev = q - r
+            if curve.closed:
+                dev = np.vstack([dev, dev])
+            node = np.array([np.sum(dev * dev, axis=1), dev[:, 0], dev[:, 1]])
+            prefix = np.concatenate((np.zeros((3, 1)), np.cumsum(node, axis=1)), axis=1)
+            buffers = (*pts.T.copy(), *q.T.copy(), *prefix)
+            self.curves.append((*map(memoryview, buffers), *r.tolist()))
+            polys.append(pts)
+            rs.append(r)
+            sums.append(np.concatenate((prefix, node, np.zeros((3, 1))), axis=1))
+        p = np.concatenate(polys).T
         self.poly = np.array([p, np.diff(p, append=0.0)])
-        sizes = np.array([len(c.px) for c in caches])
+        sizes = np.array([len(pts) for pts in polys])
         self.start = (np.cumsum(sizes) - sizes)[:, None, None]
         self.cells = (sizes - 1)[:, None, None].astype(float)
-        self.neg_r = -np.array([[c.rx for c in caches], [c.ry for c in caches]])[:, :, None, None]
-        sums = np.array([[c.s2 for c in caches], [c.s1x for c in caches],
-                         [c.s1y for c in caches]])
-        # then each node's own terms, over as many laps as the sums, and a 0
-        dev = np.array([[c.qx for c in caches], [c.qy for c in caches]]) + self.neg_r[..., 0]
-        dev = np.tile(dev, (sums.shape[-1] - 1) // dev.shape[-1])
-        node = np.concatenate(((dev * dev).sum(axis=0)[None], dev))
-        self.sums = np.concatenate((sums, node, np.zeros(sums.shape[:2] + (1,))), axis=-1)
+        self.neg_r = -np.array(rs).T[:, :, None, None]
+        self.sums = np.stack(sums, axis=1)
         self.sums[1:] *= -2.0
 
 
@@ -309,7 +298,7 @@ def _error_sq_rows(stack: CacheStack, th: np.ndarray, grid: EvaluationGrid) -> n
     candidates are never listed.  Clean node ranges and dirty nodes are
     both runs of nodes with one constant reconstruction SRVF (a dirty node
     is a run of one), so they are scored as one list of pieces with the
-    formula of :class:`CurveCache`; a piece not used is an empty run.  A
+    formula of :class:`CacheStack`; a piece not used is an empty run.  A
     knot's dirty candidates are its floor and ceiling nodes; laid out knot
     by knot, a candidate is listed only if it exceeds every earlier one
     (and the first knot's floor minus one), which is the scalar engine's
@@ -413,8 +402,8 @@ def _error_sq_rows(stack: CacheStack, th: np.ndarray, grid: EvaluationGrid) -> n
 
 
 
-def _error_sq_sum(caches: list, th: list, grid: EvaluationGrid) -> float:
-    """Summed squared SRVF reconstruction error of the cached curves at the
+def _error_sq_sum(stack: CacheStack, th: list, grid: EvaluationGrid) -> float:
+    """Summed squared SRVF reconstruction error of the stack's curves at the
     landmark list ``th``: O(k) per curve, independent of the grid size.
 
     Same discretization as pushing the reconstruction through the data
@@ -423,4 +412,4 @@ def _error_sq_sum(caches: list, th: list, grid: EvaluationGrid) -> float:
     """
     closed = grid.topology != OPEN
     plan = _knot_plan(th, grid.n_eval, closed)
-    return sum(_curve_error_sq(c, th, closed, plan) for c in caches) * grid.dt
+    return sum(_curve_error_sq(c, th, closed, plan) for c in stack.curves) * grid.dt

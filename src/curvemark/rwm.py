@@ -35,6 +35,8 @@ class ChainConfig:
             raise ValueError("n_iter must be at least 1000")
         if not 0.0 <= self.burn_in_frac < 1.0:
             raise ValueError("burn_in_frac must be in [0, 1)")
+        if self.burn_in >= self.n_iter:
+            raise ValueError("burn_in_frac leaves no iteration after the burn-in")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
         if self.proposal_var <= 0.0:
@@ -42,6 +44,11 @@ class ChainConfig:
         p = np.asarray(self.move_probs, dtype=float)
         if p.size != 3 or np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("move_probs must be 3 positive values summing to 1")
+
+    @property
+    def burn_in(self) -> int:
+        """Iterations discarded before the first retained draw."""
+        return round(self.n_iter * self.burn_in_frac)
 
 
 @dataclass
@@ -269,7 +276,7 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     death proposals, so their batched scores are kept until the state
     changes, and a block scores only its rows without one.
     """
-    burn_in = int(round(cfg.n_iter * cfg.burn_in_frac))
+    burn_in = cfg.burn_in
     kept_theta: list[np.ndarray] = []
     kept_logp: list[float] = []
     proposed = [0] * len(_MOVES)
@@ -282,19 +289,17 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             kept_theta.append(theta.copy())
             kept_logp.append(logp)
 
-    # rows base .. base + len(rows) - 1 of the table, as an array and a list
+    # rows base .. base + len(table) - 1 of the table
     table = np.empty((0, 4))
-    rows: list = []
     base = 0
 
     def reach(stop):
         """Draw table chunks until row ``stop - 1`` is held, dropping the
         rows before iteration t."""
-        nonlocal table, rows, base
-        while base + len(rows) < stop:
-            chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(rows)))
+        nonlocal table, base
+        while base + len(table) < stop:
+            chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(table)))
             table = np.concatenate((table[t - base :], chunk))
-            rows = rows[t - base :] + chunk.tolist()
             base = t
 
     # the state whose death scores (landmark index -> score) `dead` holds
@@ -320,9 +325,9 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     run = t = 0
     while t < cfg.n_iter:
         if run < _RUN_FOR_BLOCKS or sum(accepts) > _BLOCK_ACCEPT_RATE * t:
-            if t == base + len(rows):
+            if t == base + len(table):
                 reach(t + 1)
-            row = rows[t - base]
+            row = table[t - base].tolist()
             pb, pd, _ = probs(theta.size)
             move = 0 if row[0] < pb else 1 if row[0] < pb + pd else 2
             theta, logp, acc = step(theta, logp, row, move)
@@ -343,8 +348,7 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
         sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
         theta0, logp0 = theta, logp
         i = -1
-        for row, move, lp, given in zip(rows[t - base : t - base + size], moves.tolist(),
-                                       lps.tolist(), sure):
+        for row, move, lp, given in zip(block.tolist(), moves.tolist(), lps.tolist(), sure):
             theta, logp, acc = step(theta, logp, row, move, lp if given else None)
             i += 1
             if acc:

@@ -138,6 +138,23 @@ class TestLoadCurves:
             assert np.array_equal(ca.points, cb.points)
         assert cm.select_reference_point(a.curves[0]) == 0
 
+    def test_closed_sample_builds_one_likelihood_cache(self, tmp_path, monkeypatch):
+        # the unaligned sample a closed load builds and drops gets no cache
+        built = []
+        init = cm.reconstruct.CacheStack.__init__
+        monkeypatch.setattr(cm.reconstruct.CacheStack, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        paths = []
+        for cut in (0.3, 0.4):
+            paths.append(str(tmp_path / f"cut_{cut}.csv"))
+            write_curve_csv(paths[-1], cm.cut_half_circle(120, cut=cut))
+        sample = cm.load_curves(paths, cm.CLOSED, 64)
+        spec = cm.ModelSpec(n_eval=64, topology=cm.CLOSED)
+        theta = np.array([0.1, 0.4, 0.7])
+        assert np.isfinite(cm.log_posterior_theta(sample, theta, spec))
+        assert np.isfinite(cm.log_posterior_batch(sample, theta[None], spec)).all()
+        assert len(built) == 1
+
 
 class TestSamplesPersistence:
     def _samples(self, rng, variable_k=False, topology=cm.OPEN):
@@ -401,6 +418,52 @@ class TestCli:
         assert rows[0] == "k,dk2"
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("ends, ks", [
+        (["--k-max", "2"], ["1", "2"]),
+        (["--k-min", "2"], ["2", "3"]),
+    ])
+    def test_criterion_lone_flag_overrides_its_end_of_the_config_range(self, tmp_path, ends, ks):
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"k_range": [1, 3]}')
+        out = str(tmp_path / "crit")
+        rc = main(["criterion", "--config", str(cfg_path), "--curves", curve_path, *ends,
+                   "--n-eval", "50", "--n-iter", "1000", "--thin", "20", "--out-dir", out])
+        assert rc == 0
+        rows = open(os.path.join(out, "dk2.csv")).read().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ks
+
+    def test_criterion_lone_flag_without_a_config_range_exits_1(self, tmp_path, capsys):
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        rc = main(["criterion", "--curves", curve_path, "--k-max", "2", "--n-iter", "1000"])
+        assert rc == 1
+        assert "requires --k-min/--k-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["run-fixed", "--k", "0"], "--k"),
+        (["run-fixed", "--topology", "closed", "--k", "2"], "--k"),
+        (["criterion", "--k-min", "0", "--k-max", "2"], "--k-min"),
+        (["criterion", "--k-min", "3", "--k-max", "1"], "--k-max"),
+    ])
+    def test_landmark_count_outside_the_topology_exits_1(self, tmp_path, capsys, args, flag):
+        curve = cm.half_circle(120) if "closed" in args else cm.sine_curve(120)
+        curve_path = str(tmp_path / "curve.csv")
+        write_curve_csv(curve_path, curve)
+        out = tmp_path / "out"
+        rc = main([*args, "--curves", curve_path, "--n-eval", "50", "--n-iter", "1000",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run-fixed", "--k", "2"], ["run-rjmcmc", "--lam", "1"]])
+    def test_burn_in_that_keeps_no_draw_exits_1(self, tmp_path, capsys, command):
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        rc = main([*command, "--curves", curve_path, "--n-eval", "50", "--n-iter", "1000",
+                   "--burn-in-frac", "0.9999", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: burn_in_frac ")
+
     def test_summarize_subcommand(self, tmp_path):
         curve_path = str(tmp_path / "sine.csv")
         main(["generate", "--name", "sine", "--n", "120", "--out", curve_path])
@@ -514,6 +577,12 @@ class TestCli:
         assert rc == 0
         for i in range(1, 6):
             assert os.path.exists(str(tmp_path / f"fam_{i}.csv"))
+
+    def test_generate_cut_on_a_curve_without_one_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--name", "sine", "--cut", "0.3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --cut applies only to cut-half-circle\n"
+        assert not out.exists()
 
     def test_generate_into_missing_dir_exits_1(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.csv")

@@ -31,6 +31,17 @@ class TestRwmConfig:
         with pytest.raises(ValueError):
             cm.ChainConfig(proposal_var=0.0)
 
+    @pytest.mark.parametrize("n_iter, frac", [(1000, 0.9999), (1000, 0.9995), (3000, 0.99985)])
+    def test_burn_in_that_keeps_no_iteration_rejected(self, n_iter, frac):
+        with pytest.raises(ValueError, match="burn_in_frac"):
+            cm.ChainConfig(n_iter=n_iter, burn_in_frac=frac)
+
+    def test_last_iteration_after_the_burn_in_kept(self):
+        cfg = cm.ChainConfig(n_iter=1000, burn_in_frac=0.999, thin=1)
+        assert cfg.burn_in == 999
+        result = cm.run_chain(polyline_sample(), cm.ModelSpec(n_eval=25), cfg, k=2)
+        assert result.n == 1
+
     def test_defaults(self):
         cfg = cm.ChainConfig()
         assert cfg.n_iter == 100_000
