@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -250,14 +251,14 @@ class CacheStack:
     (:func:`_curve_error_sq`) reads as Python floats: buffers of the
     polyline's x and y (closed curves repeat the first point at the end),
     of q's x and y and of the prefix sums of |q - r|^2 and q - r (x, y),
-    then r's x and y.  The batched engine (:func:`_error_sq_rows`) reads them stacked: ``poly``
-    (2, 2, points) holds the polylines end to end, x and y of each point
-    and then of the step to the next point (finite garbage after a curve's
-    last point, which the engine multiplies by 0); ``sums`` (3, M, 2L)
-    holds each curve's L prefix sums of |q - r|^2 and of -2 (q - r) (x,
-    y), then the same terms of each node and a 0.  Per-curve constants are
-    shaped (M, 1, 1) to broadcast against the engine's (curve, knot, row)
-    arrays.
+    then r's x and y.  The batched engine (:func:`_error_sq_rows`) reads
+    them stacked: ``poly`` (2, 2, points) holds the polylines end to end,
+    x and y of each point and then of the step to the next point (finite
+    garbage after a curve's last point, which the engine multiplies by 0);
+    ``sums`` (3, M, 2L) holds each curve's L prefix sums of |q - r|^2 and
+    of -2 (q - r) (x, y), then the same terms of each node and a 0.
+    Per-curve constants are shaped (M, 1, 1) to broadcast against the
+    engine's (curve, knot, row) arrays.
     """
 
     __slots__ = ("curves", "poly", "start", "cells", "neg_r", "sums")
@@ -273,8 +274,8 @@ class CacheStack:
                 dev = np.vstack([dev, dev])
             node = np.array([np.sum(dev * dev, axis=1), dev[:, 0], dev[:, 1]])
             prefix = np.concatenate((np.zeros((3, 1)), np.cumsum(node, axis=1)), axis=1)
-            buffers = (*pts.T.copy(), *q.T.copy(), *prefix)
-            self.curves.append((*map(memoryview, buffers), *r.tolist()))
+            buffers = (*pts.T, *q.T, *prefix)
+            self.curves.append((*(array("d", b.tobytes()) for b in buffers), *r.tolist()))
             polys.append(pts)
             rs.append(r)
             sums.append(np.concatenate((prefix, node, np.zeros((3, 1))), axis=1))

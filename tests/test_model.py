@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -202,3 +204,10 @@ class TestCurveSample:
     def test_empty_rejected(self):
         with pytest.raises(cm.CurveError):
             cm.CurveSample.build([], cm.EvaluationGrid(100, cm.OPEN))
+
+    def test_pickles_after_its_likelihood_cache_is_built(self):
+        sample = cm.CurveSample.build([cm.half_circle(120)], cm.EvaluationGrid(64, cm.CLOSED))
+        spec = make_spec(n_eval=64, topology=cm.CLOSED)
+        theta = np.array([0.1, 0.4, 0.7])
+        lp = log_posterior_theta(sample, theta, spec)
+        assert log_posterior_theta(pickle.loads(pickle.dumps(sample)), theta, spec) == lp
