@@ -101,8 +101,7 @@ def _merged_config(args: argparse.Namespace, mode: str) -> RunConfig:
             setattr(cfg, f.name, value)
     ends = [getattr(args, "k_min", None), getattr(args, "k_max", None)]
     if cfg.k_range or None not in ends:
-        cfg.k_range = [new if new is not None else old
-                       for new, old in zip(ends, cfg.k_range or ends)]
+        cfg.k_range = [old if new is None else new for new, old in zip(ends, cfg.k_range or ends)]
     if not cfg.curves:
         raise InputError("no input curves given (flag --curves or config field)")
     return cfg
