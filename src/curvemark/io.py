@@ -94,11 +94,12 @@ class RunConfig:
         return cls.from_dict(data)
 
 
-# Whether a JSON value fits a config field's type (k_range is a pair).
+# Whether a JSON value fits a config field's type (k_range is a pair; a
+# float is finite, though Python's json reads NaN and Infinity).
 _FITS = {
     "str": lambda v: isinstance(v, str),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": lambda v: _FITS["int"](v) or isinstance(v, float) and math.isfinite(v),
     "list[int]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_FITS["int"], v)),
     "list[str]": lambda v: isinstance(v, list) and all(map(_FITS["str"], v)),
 }
@@ -295,18 +296,17 @@ def persist_results(
     """Write samples.csv, summary.json and density_<j>.csv into
     ``out_dir``; returns the written paths."""
     written = []
+    if summary is not None:  # serialized first, so a non-finite value writes nothing
+        record = dict(summary) if config is None else dict(summary, config=config.to_dict())
+        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     with _results_dir(out_dir):
         path = os.path.join(out_dir, "samples.csv")
         write_samples_csv(path, samples)
         written.append(path)
         if summary is not None:
-            record = dict(summary)
-            if config is not None:
-                record["config"] = config.to_dict()
             path = os.path.join(out_dir, "summary.json")
             with open(path, "w") as fh:
-                json.dump(record, fh, indent=2, allow_nan=False)
-                fh.write("\n")
+                fh.write(text)
             written.append(path)
         for j, (grid, dens) in (densities or {}).items():
             path = os.path.join(out_dir, f"density_{j + 1}.csv")

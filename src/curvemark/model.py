@@ -48,10 +48,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_eval < 16:
             raise ValueError("n_eval must be at least 16")
-        if self.a <= 0 or self.b <= 0 or self.alpha <= 0:
-            raise ValueError("a, b, alpha must be positive")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
+        for name in ("a", "b", "alpha", "lam"):
+            value = getattr(self, name)
+            if not (name == "lam" and value is None or 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, not {value}")
         if self.k_max < k_min_for(self.topology):
             raise ValueError("k_max below the minimum landmark count")
 

@@ -39,10 +39,10 @@ class ChainConfig:
             raise ValueError("burn_in_frac leaves no iteration after the burn-in")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        if self.proposal_var <= 0.0:
-            raise ValueError("proposal_var must be positive")
+        if not 0.0 < self.proposal_var < math.inf:
+            raise ValueError(f"proposal_var must be positive and finite, not {self.proposal_var}")
         p = np.asarray(self.move_probs, dtype=float)
-        if p.size != 3 or np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        if p.size != 3 or not np.all(p > 0.0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("move_probs must be 3 positive values summing to 1")
 
     @property
@@ -82,7 +82,7 @@ class PosteriorSampleSet:
         """Samples as an (n, k) array: with ``k=None`` the table itself, whose
         rows must share one dimension, otherwise its rows with k landmarks."""
         if k is None:
-            if np.unique(self.ks).size != 1:
+            if self.ks.min() != self.ks.max():
                 raise ValueError("mixed landmark counts; pass k to select a stratum")
             return self.thetas
         rows = self.thetas[self.ks == k, :k]
@@ -234,17 +234,21 @@ def rwm_step(
 # accepting 2.7-4.8% up to 1.33x slower.  A batched score decides a row
 # only when it rejects by at least _MARGIN * (1 + |score|) in log units (as
 # -inf does), far above the rounding by which it differs from the scalar
-# log posterior; every other row is scored again by the scalar one.
+# log posterior; every other row is scored again by the scalar one.  The
+# batched engine's temporaries grow with rows times curves, so a sample of
+# M curves caps blocks at _BLOCK_CURVE_ROWS // M rows to keep them on the
+# heap (M = 5, N = 1000: a 128-row call took 118 page faults, 64 rows none).
 _RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 128
+_BLOCK_CURVE_ROWS = 320
 _MARGIN = 1e-9
 # the move kinds, in the order of ChainConfig.move_probs
 _MOVES = ("birth", "death", "stay")
 
 
-def _run_path(theta, logp, cfg, rng, probs, step, build, score):
+def _run_path(theta, logp, cfg, rng, probs, step, build, score, cap):
     """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
     return its retained draws, their log posteriors and, per move kind
     (``_MOVES``), the proposals made and accepted.
@@ -261,7 +265,8 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
     ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
     proposals of a slice of the table, with their moves, from ``theta`` at
     once, as a (K, B) array with one column per row, padded with its last
-    landmark; ``score(props, ks)`` is their batched log posterior.
+    landmark; ``score(props, ks)`` is their batched log posterior, at most
+    ``cap`` rows at a time.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
     stretches the next B iterations' proposals are built as if every one
@@ -337,7 +342,7 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score):
             keep(t, t + 1, theta, logp)
             t += 1
             continue
-        size = min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)), cfg.n_iter - t)
+        size = min(cap, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)), cfg.n_iter - t)
         reach(t + size)
         block = table[t - base : t - base + size]
         pb, pd, _ = probs(theta.size)
@@ -397,6 +402,7 @@ def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, pr
         score=lambda props, ks: log_posterior_batch(
             sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
         ),
+        cap=min(_BLOCK_CAP, max(1, _BLOCK_CURVE_ROWS // sample.m)),
     )
     accepted = sum(accepts)
     if accepted == 0:

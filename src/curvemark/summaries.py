@@ -12,7 +12,28 @@ from .model import CurveSample, ModelSpec, total_reconstruction_error_sq_batch
 from .rwm import ChainConfig, PosteriorSampleSet, run_chain
 
 
-_KDE_CHUNK = 1 << 20
+# Values per KDE temporary (64 KB): a larger one is given back to the
+# OS when freed, and the next chunk faults its pages in again.
+_KDE_CHUNK = 1 << 13
+
+
+def _quantiles(x: np.ndarray, qs) -> list[float]:
+    """Type-7 quantiles (Hyndman & Fan 1996) of ``x`` at the fractions
+    ``qs``, from one sort and equal to numpy's bit for bit: ``q = 0.5``
+    gives ``np.median``, any other ``q`` ``np.quantile``'s linear method."""
+    xs = np.sort(x).tolist()
+    n = len(xs)
+    out = []
+    for q in qs:
+        if q == 0.5:
+            out.append((xs[(n - 1) // 2] + xs[n // 2]) / 2)
+            continue
+        h = (n - 1) * q
+        i = int(h)
+        a, b, t = xs[i], xs[min(i + 1, n - 1)], h - i
+        # as numpy interpolates: from the nearer of the two values
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def _circular_mean(x: np.ndarray) -> float:
@@ -34,21 +55,18 @@ def summarize(samples: PosteriorSampleSet) -> dict:
         raise ValueError("empty sample set")
     th = samples.theta_matrix()
     closed = samples.topology == CLOSED
-    means, medians, lo, hi = [], [], [], []
+    means, quantiles = [], []
     for j in range(th.shape[1]):
         x = th[:, j]
         if closed:
             c = _circular_mean(x)
-            shifted = np.mod(x - c + 0.5, 1.0) - 0.5
+            qs = _quantiles(np.mod(x - c + 0.5, 1.0) - 0.5, (0.5, 0.025, 0.975))
             means.append(c)
-            medians.append(float(np.mod(c + np.median(shifted), 1.0)))
-            lo.append(float(np.mod(c + np.percentile(shifted, 2.5), 1.0)))
-            hi.append(float(np.mod(c + np.percentile(shifted, 97.5), 1.0)))
+            quantiles.append([float(np.mod(c + v, 1.0)) for v in qs])
         else:
             means.append(float(np.mean(x)))
-            medians.append(float(np.median(x)))
-            lo.append(float(np.percentile(x, 2.5)))
-            hi.append(float(np.percentile(x, 97.5)))
+            quantiles.append(_quantiles(x, (0.5, 0.025, 0.975)))
+    medians, lo, hi = map(list, zip(*quantiles))
     imax = int(np.argmax(samples.log_post))
     return {
         "mean": means,
@@ -76,7 +94,8 @@ def marginal_density(samples: PosteriorSampleSet, component: int, n_grid: int = 
     if n < 50:
         raise ValueError("need at least 50 samples for a density estimate")
     sd = float(np.std(x, ddof=1))
-    iqr = float(np.subtract(*np.percentile(x, [75.0, 25.0])))
+    q75, q25 = _quantiles(x, (0.75, 0.25))
+    iqr = q75 - q25
     scales = [s for s in (sd, iqr / 1.34) if s > 0.0]
     bw = 0.9 * min(scales) * n ** (-0.2) if scales else 1e-3
     bw = max(bw, 1e-3)
@@ -87,7 +106,7 @@ def marginal_density(samples: PosteriorSampleSet, component: int, n_grid: int = 
     grid = np.linspace(0.0, 1.0, n_grid)
     dens = np.empty(n_grid)
     # at most 64 grid rows per chunk, fewer where each temporary would
-    # otherwise hold more than 2^20 values
+    # otherwise hold more than _KDE_CHUNK values; a row is never split
     rows = min(64, max(1, _KDE_CHUNK // data.size))
     for lo in range(0, n_grid, rows):
         z = (grid[lo : lo + rows, None] - data[None, :]) / bw

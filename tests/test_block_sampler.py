@@ -138,6 +138,25 @@ def test_chain_does_not_depend_on_block_sizing(name, sizing, references, monkeyp
     assert_same_chain(res, ref)
 
 
+def test_blocks_bounded_by_curve_count(monkeypatch):
+    # the batched engine's temporaries grow with rows times curves, so a
+    # sample of M curves scores at most _BLOCK_CURVE_ROWS // M rows a call
+    curves = [cm.rescale_unit_length(cm.cut_half_circle(240, cut=c), 240)
+              for c in (0.2, 0.3, 0.4, 0.5, 0.6)]
+    sample = cm.CurveSample.build(curves, cm.EvaluationGrid(64, cm.CLOSED))
+    sizes = []
+    batch = rwm.log_posterior_batch
+
+    def recording_batch(sample, thetas, spec, **kwargs):
+        sizes.append(len(thetas))
+        return batch(sample, thetas, spec, **kwargs)
+
+    monkeypatch.setattr(rwm, "log_posterior_batch", recording_batch)
+    spec = cm.ModelSpec(n_eval=64, topology=cm.CLOSED)
+    cm.run_chain(sample, spec, cm.ChainConfig(n_iter=4000, thin=7, seed=5), k=4)
+    assert max(sizes) == rwm._BLOCK_CURVE_ROWS // 5 < rwm._BLOCK_CAP
+
+
 def recorded_moves(monkeypatch):
     """Wrap the public move functions; returns the list they append
     (function name, start state, proposed or returned state) to."""

@@ -288,6 +288,16 @@ class TestSamplesPersistence:
         assert record["config"]["seed"] == 123
         assert record["mean"] == summary["mean"]
 
+    def test_non_finite_summary_writes_nothing(self, tmp_path, rng):
+        # the summary is serialized before any file is opened, so no
+        # truncated summary.json is left behind
+        ss = self._samples(rng)
+        summary = dict(cm.summarize(ss), map_log_post=float("nan"))
+        out = tmp_path / "res"
+        with pytest.raises(ValueError, match="JSON"):
+            cm.persist_results(ss, summary, str(out))
+        assert not out.exists()
+
 
 class TestCli:
     def test_generate_and_run_fixed(self, tmp_path):
@@ -369,6 +379,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {cfg_path}: ") and field in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run-fixed", "--proposal-var", "nan"),
+        ("run-fixed", "--proposal-var", "inf"),
+        ("run-fixed", "--b", "nan"),
+        ("run-fixed", "--alpha", "inf"),
+        ("run-rjmcmc", "--lam", "nan"),
+    ])
+    def test_non_finite_flag_exits_1_before_the_chain(self, tmp_path, capsys, command,
+                                                       flag, value):
+        extra = ["--k", "4"] if command == "run-fixed" else ["--lam", "1e-6"]
+        out = tmp_path / "out"
+        rc = main([command, "--curves", write_sine_csv(tmp_path / "sine.csv"), *extra,
+                   "--n-iter", "2000", flag, value, "--out-dir", str(out)])
+        field = flag[2:].replace("-", "_")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {field} must be positive and finite, not {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"b": NaN}', '{"proposal_var": Infinity}'])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["run-fixed", "--config", str(cfg_path), "--k", "3",
+                   "--curves", write_sine_csv(tmp_path / "sine.csv"), "--out-dir", str(out)])
+        field = text[2:].split('"')[0]
+        assert rc == 1
+        assert f"config field {field} must be float" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rjmcmc_subcommand(self, tmp_path):
         curve_path = str(tmp_path / "sine.csv")

@@ -28,6 +28,12 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             make_spec(n_eval=8)
 
+    @pytest.mark.parametrize("field", ["a", "b", "alpha", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hyperparameter_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            make_spec(**{field: value})
+
     def test_min_spacing_tracks_resolution(self):
         assert make_spec(n_eval=100).min_spacing == pytest.approx(1.0 / 400.0)
         assert make_spec(n_eval=200).min_spacing == pytest.approx(1.0 / 800.0)

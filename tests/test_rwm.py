@@ -31,6 +31,15 @@ class TestRwmConfig:
         with pytest.raises(ValueError):
             cm.ChainConfig(proposal_var=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("proposal_var", float("nan")),
+        ("proposal_var", float("inf")),
+        ("move_probs", (float("nan"), 0.5, 0.5)),
+    ])
+    def test_non_finite_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cm.ChainConfig(**{field: value})
+
     @pytest.mark.parametrize("n_iter, frac", [(1000, 0.9999), (1000, 0.9995), (3000, 0.99985)])
     def test_burn_in_that_keeps_no_iteration_rejected(self, n_iter, frac):
         with pytest.raises(ValueError, match="burn_in_frac"):

@@ -73,6 +73,17 @@ class TestSummarize:
             cm.summarize(ss)
 
 
+class TestQuantiles:
+    @pytest.mark.parametrize("n", [*range(1, 61), 180, 200, 999])
+    def test_equal_to_numpy_bit_for_bit(self, rng, n):
+        from curvemark.summaries import _quantiles
+
+        for x in (rng.uniform(size=n), np.round(rng.normal(0.5, 0.1, n), 2),
+                  rng.choice([0.1, 0.7], size=n), np.full(n, 0.3)):
+            got = _quantiles(x, (0.025, 0.25, 0.75, 0.975, 0.5))
+            assert got == [*np.percentile(x, [2.5, 25.0, 75.0, 97.5]).tolist(), np.median(x)]
+
+
 class TestMarginalDensity:
     def test_point_mass_peaks_at_value(self):
         ss = sample_set([[0.42]] * 100)
@@ -120,6 +131,20 @@ class TestMarginalDensity:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_temporaries_stay_small_on_few_draws(self, rng):
+        # each chunk of the grid holds at most 2^13 values per temporary,
+        # small enough for the allocator to keep on its heap between chunks
+        import tracemalloc
+
+        ss = sample_set([[v] for v in rng.uniform(0.2, 0.8, 200)])
+        tracemalloc.start()
+        try:
+            cm.marginal_density(ss, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 2**10
 
     def test_needs_enough_samples(self):
         ss = sample_set([[0.5]] * 10)
