@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import curvemark as cm
+from curvemark.io import write_curve_csv, write_samples_csv
 
 
 def test_import_leaves_scipy_unloaded():
@@ -42,8 +43,6 @@ def test_all_lists_every_public_name():
 
 def _closed_table(path, rng):
     """A 60-row closed samples table at k=4, enough draws for densities."""
-    from curvemark.io import write_samples_csv
-
     thetas = np.sort(np.mod([0.0, 0.25, 0.5, 0.75] + rng.normal(0.0, 0.02, (60, 4)), 1.0))
     write_samples_csv(path, cm.PosteriorSampleSet(
         list(thetas), np.full(60, 4), np.zeros(60), np.nan, cm.CLOSED))
@@ -51,8 +50,6 @@ def _closed_table(path, rng):
 
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
-    from curvemark.io import write_curve_csv
-
     d = tmp_path_factory.mktemp("inputs")
     write_curve_csv(str(d / "sine.csv"), cm.sine_curve(200))
     for cut in (0.3, 0.5):
