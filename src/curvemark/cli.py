@@ -155,7 +155,6 @@ def cmd_run_rjmcmc(args) -> int:
     sample = load_curves(cfg.curves, cfg.topology, cfg.n_eval)
     result = run_rjmcmc(sample, cfg.spec(), cfg.chain())
     _, summary, densities = _modal_summaries(result)
-    summary["accept_rate"] = float(result.accept_rate)
     summary["moves"] = result.moves
     written = persist_results(result, summary, cfg.out_dir, cfg, densities)
     print(f"posterior k counts: {summary['k_counts']}")

@@ -151,8 +151,13 @@ def total_reconstruction_error_sq(sample: CurveSample, theta) -> float:
 
     Both SRVFs come from the same centred finite differences on the grid
     (one-sided at open ends), so the two sides share discretization bias.
+    Raises :class:`LandmarkError` for a landmark vector outside the
+    support.
     """
-    return _error_sq_sum(sample.stack, _floats(theta), sample.grid)
+    th = _floats(theta)
+    if _valid_spacings(th, sample.grid.topology) is None:
+        raise LandmarkError(f"invalid landmark vector for {sample.grid.topology} curve: {th}")
+    return _error_sq_sum(sample.stack, th, sample.grid)
 
 
 def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarray:
@@ -165,17 +170,19 @@ def total_reconstruction_error_sq_batch(sample: CurveSample, thetas) -> np.ndarr
     return _error_sq_chunked(sample, th.T)
 
 
-# Rows per call of the batched engine, whose temporaries grow as M * rows
-# * k: 1024 rows peak at about 25 MB (M = 5, k = 10, tracemalloc) and
-# cost no more per row than larger chunks.
-_BATCH_ROWS = 1024
+# Rows times curves per call of the batched engine, whose temporaries grow
+# as M * rows * k; larger ones go back to the OS when freed and fault in
+# again: 20,000 rows at M = 1, N = 100, k = 10 took 106-111 ms in 320-row
+# chunks and 215-220 ms (5.8k-35.8k minor faults) in 1,024-row chunks.
+_CURVE_ROWS = 320
 
 
 def _error_sq_chunked(sample: CurveSample, th: np.ndarray) -> np.ndarray:
-    """:func:`_error_sq_rows` of a (K, B) landmark array, in chunks of ``_BATCH_ROWS`` rows."""
+    """:func:`_error_sq_rows` of a (K, B) landmark array, ``_CURVE_ROWS // M`` rows a call."""
+    rows = max(1, _CURVE_ROWS // sample.m)
     return np.concatenate([
-        _error_sq_rows(sample.stack, th[:, i : i + _BATCH_ROWS], sample.grid)
-        for i in range(0, th.shape[1], _BATCH_ROWS)
+        _error_sq_rows(sample.stack, th[:, i : i + rows], sample.grid)
+        for i in range(0, th.shape[1], rows)
     ])
 
 

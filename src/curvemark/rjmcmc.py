@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_posterior_theta
+from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_prior_k, log_posterior_theta
 from .rwm import (
     ChainConfig,
     PosteriorSampleSet,
@@ -24,7 +24,6 @@ from .rwm import (
     _sample_chain,
     _stay_values,
     draw_initial_theta,
-    rwm_step,
 )
 
 
@@ -108,17 +107,12 @@ def _jump_block(theta, block, move, sd, topology, move_probs):
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
-    """Prior draw of (k, theta): shifted Poisson truncated at k_max, then
-    spacings from the Dirichlet."""
-    if spec.lam is None:
-        raise ValueError("ModelSpec.lam is required for variable-k inference")
-    k_min = k_min_for(spec.topology)
-    nus = np.arange(spec.k_max - k_min + 1)
-    log_lam = math.log(spec.lam)
-    logp = np.array([nu * log_lam - math.lgamma(nu + 1.0) for nu in range(nus.size)])
+    """Prior draw of (k, theta): k from the truncated shifted Poisson
+    :func:`~curvemark.model.log_prior_k`, then spacings from the Dirichlet."""
+    ks = np.arange(k_min_for(spec.topology), spec.k_max + 1)
+    logp = np.array([log_prior_k(k, spec) for k in ks.tolist()])
     p = np.exp(logp - logp.max())
-    k = k_min + int(rng.choice(nus, p=p / p.sum()))
-    return draw_initial_theta(rng, spec, k)
+    return draw_initial_theta(rng, spec, int(rng.choice(ks, p=p / p.sum())))
 
 
 def run_rjmcmc(
@@ -128,18 +122,12 @@ def run_rjmcmc(
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
     """Run the birth-death-stay chain over (k, theta)."""
-    rng = np.random.default_rng(cfg.seed)
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
-    var, move_probs = cfg.proposal_var, cfg.move_probs
 
-    def step(th, lp, row, move, logp_new=None):
-        if move == 2:
-            return rwm_step(th, lp, sample, spec, var, row, True, prior_only, logp_new)
-        if move == 0:
-            prop, log_ratio = propose_birth(th, row[1], spec, move_probs)
-        else:
-            prop, log_ratio = propose_death(th, row[1], spec, move_probs)
+    def jump(th, lp, row, move, logp_new=None):
+        propose = propose_birth if move == 0 else propose_death
+        prop, log_ratio = propose(th, row[1], spec, cfg.move_probs)
         if logp_new is not None:  # a batched score that rejects by a clear margin
             return th, lp, False
         logp_new = log_posterior_theta(
@@ -148,15 +136,10 @@ def run_rjmcmc(
         return _decide(th, lp, prop, logp_new, log_ratio, row[2])
 
     return _sample_chain(
-        sample,
-        spec,
-        cfg,
-        rng,
-        prior_only,
-        variable_k=True,
-        draw_prior=lambda: draw_initial_state(rng, spec),
+        sample, spec, cfg, prior_only,
+        draw_prior=lambda rng: draw_initial_state(rng, spec),
         probs=lambda k: move_probabilities(k, k_min, cfg.move_probs),
-        step=step,
+        jump=jump,
         build=lambda th, block, moves: _jump_block(
             th, block, moves, sd, spec.topology, cfg.move_probs
         ),

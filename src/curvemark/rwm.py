@@ -1,6 +1,6 @@
-"""Random-walk Metropolis sampler over landmark locations for fixed k,
-and what it shares with the reversible-jump sampler: the chain settings,
-the start path and the iteration loop."""
+"""Random-walk Metropolis sampler over landmark locations for fixed k, and
+``_sample_chain``, the one chain driver that it and the reversible-jump
+sampler pass their moves to: the generator, start, stay step and loop."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import CLOSED
+from .model import _CURVE_ROWS as _BLOCK_CURVE_ROWS
 from .model import (CurveSample, ModelSpec, NEG_INF, _stack_rows, log_posterior_batch,
                     log_posterior_theta)
 from .reconstruct import spacing_to_theta
@@ -73,6 +74,9 @@ class PosteriorSampleSet:
             if not np.array_equal(ks, self.ks):
                 raise ValueError("ks must give the length of each landmark vector")
             self.thetas = th
+        if self.thetas.ndim != 2 or not len(self.thetas) == len(self.ks) == len(self.log_post) or (
+                self.ks.size and not 1 <= self.ks.min() <= self.ks.max() <= self.thetas.shape[1]):
+            raise ValueError("need one ks entry, 1 to K, and one log_post entry per row")
 
     @property
     def n(self) -> int:
@@ -236,51 +240,74 @@ def rwm_step(
 # -inf does), far above the rounding by which it differs from the scalar
 # log posterior; every other row is scored again by the scalar one.  The
 # batched engine's temporaries grow with rows times curves, so a sample of
-# M curves caps blocks at _BLOCK_CURVE_ROWS // M rows to keep them on the
-# heap (M = 5, N = 1000: a 128-row call took 118 page faults, 64 rows none).
+# M curves caps blocks at _BLOCK_CURVE_ROWS // M rows, the engine's own
+# chunk (model._CURVE_ROWS), to keep them on the heap (M = 5, N = 1000: a
+# 128-row call took 118 page faults, 64 rows none).
 _RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 128
-_BLOCK_CURVE_ROWS = 320
 _MARGIN = 1e-9
 # the move kinds, in the order of ChainConfig.move_probs
 _MOVES = ("birth", "death", "stay")
 
 
-def _run_path(theta, logp, cfg, rng, probs, step, build, score, cap):
-    """Advance a chain ``cfg.n_iter`` iterations from ``(theta, logp)`` and
-    return its retained draws, their log posteriors and, per move kind
-    (``_MOVES``), the proposals made and accepted.
-
-    Iteration t reads row t of the chain's random table
+def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build):
+    """Run one chain and return its retained draws as a sample set: the
+    driver of both samplers.  With ``rng = default_rng(cfg.seed)``, the
+    chain starts from the first of up to 100 prior draws
+    ``draw_prior(rng)`` with a finite posterior and runs ``cfg.n_iter``
+    iterations.  Iteration t reads row t of the chain's random table
     (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
     Its move is birth below ``pb``, death below ``pb + pd`` and stay
     otherwise, for ``(pb, pd, ps) = probs(k)`` at the state's landmark
-    count k.  ``step(theta, logp, row, move, logp_new=None) -> (theta,
-    logp, accepted)`` is one iteration through the public move functions
-    (``rwm_step``, ``propose_birth``, ``propose_death``), which score the
-    proposal with the scalar log posterior unless ``logp_new``, a batched
-    score that rejects by a clear margin, is given;
-    ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
-    proposals of a slice of the table, with their moves, from ``theta`` at
-    once, as a (K, B) array with one column per row, padded with its last
-    landmark; ``score(props, ks)`` is their batched log posterior, at most
-    ``cap`` rows at a time.
+    count k.  A stay is one :func:`rwm_step`; a birth or death is
+    ``jump(theta, logp, row, move, logp_new=None) -> (theta, logp,
+    accepted)`` through ``propose_birth`` or ``propose_death``.  The
+    fixed-k chain passes ``jump=None`` and only stays; with ``jump`` the
+    log posterior includes the k prior.  A move scores its proposal with
+    the scalar log posterior unless given ``logp_new``, a batched score
+    that rejects by a clear margin.  ``build(theta, block, moves) ->
+    (props, ks, log_ratios)`` makes the proposals of a table slice from
+    ``theta`` at once, as a (K, B) array with one column per row, padded
+    with its last landmark, for :func:`log_posterior_batch` to score at
+    most ``min(_BLOCK_CAP, _BLOCK_CURVE_ROWS // M)`` rows a call.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
     stretches the next B iterations' proposals are built as if every one
     were rejected and scored in one batched call (Brockwell 2006,
     pre-fetching along the rejection path).  The iterations are then
-    replayed through ``step`` up to the first accept, each with its
-    batched score where that score rejects by a clear margin and with the
-    scalar log posterior otherwise.  So the public move functions run once
-    per iteration, in chain order, and every accept test is the
-    one-at-a-time chain's own: the chain is the one-at-a-time chain, draw
-    for draw, log posteriors included.  A state has at most k distinct
-    death proposals, so their batched scores are kept until the state
-    changes, and a block scores only its rows without one.
+    replayed through the moves up to the first accept, each with its
+    batched score where that score rejects by a clear margin.  So the
+    public move functions run once per iteration, in chain order, and the
+    chain is the one-at-a-time chain, draw for draw, log posteriors
+    included.  A state has at most k distinct death proposals, so their
+    batched scores are kept until the state changes.
     """
+    rng = np.random.default_rng(cfg.seed)
+    variable_k = jump is not None
+    for _ in range(100):
+        theta = draw_prior(rng)
+        logp = log_posterior_theta(
+            sample, theta, spec, variable_k=variable_k, include_likelihood=not prior_only
+        )
+        if logp > NEG_INF:
+            break
+    else:
+        raise RuntimeError("could not find an initial state with finite posterior")
+
+    def step(theta, logp, row, move, logp_new=None):
+        if move == 2:
+            return rwm_step(theta, logp, sample, spec, cfg.proposal_var, row, variable_k,
+                            prior_only, logp_new)
+        return jump(theta, logp, row, move, logp_new)
+
+    def score(props, ks):
+        return log_posterior_batch(
+            sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
+        )
+
+    cap = min(_BLOCK_CAP, max(1, _BLOCK_CURVE_ROWS // sample.m))
     burn_in = cfg.burn_in
     kept_theta: list[np.ndarray] = []
     kept_logp: list[float] = []
@@ -368,42 +395,7 @@ def _run_path(theta, logp, cfg, rng, probs, step, build, score, cap):
             run = 0
         else:
             run += size
-    return kept_theta, kept_logp, proposed, accepts
 
-
-def _sample_chain(sample, spec, cfg, rng, prior_only, variable_k, draw_prior, probs, step, build):
-    """Start a chain from the first of up to 100 prior draws
-    ``draw_prior()`` with a finite posterior and run it: ``_run_path`` with
-    the moves ``probs``, ``step`` and ``build``.  Returns the retained
-    draws as a sample set."""
-
-    def logpost(th):
-        return log_posterior_theta(
-            sample, th, spec, variable_k=variable_k, include_likelihood=not prior_only
-        )
-
-    logp = NEG_INF
-    for _ in range(100):
-        theta = draw_prior()
-        logp = logpost(theta)
-        if logp > NEG_INF:
-            break
-    if logp == NEG_INF:
-        raise RuntimeError("could not find an initial state with finite posterior")
-
-    kept_theta, kept_logp, proposed, accepts = _run_path(
-        theta,
-        logp,
-        cfg,
-        rng,
-        probs,
-        step,
-        build,
-        score=lambda props, ks: log_posterior_batch(
-            sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
-        ),
-        cap=min(_BLOCK_CAP, max(1, _BLOCK_CURVE_ROWS // sample.m)),
-    )
     accepted = sum(accepts)
     if accepted == 0:
         warnings.warn("chain accepted no proposals; check the proposal settings")
@@ -428,19 +420,11 @@ def run_chain(
     Burn-in and thinning are applied to the returned sample set; the raw
     acceptance rate covers all iterations.
     """
-    rng = np.random.default_rng(cfg.seed)
     sd = math.sqrt(cfg.proposal_var)
     return _sample_chain(
-        sample,
-        spec,
-        cfg,
-        rng,
-        prior_only,
-        variable_k=False,
-        draw_prior=lambda: draw_initial_theta(rng, spec, k),
+        sample, spec, cfg, prior_only,
+        draw_prior=lambda rng: draw_initial_theta(rng, spec, k),
         probs=lambda k: (0.0, 0.0, 1.0),
-        step=lambda th, lp, row, move, logp_new=None: rwm_step(
-            th, lp, sample, spec, cfg.proposal_var, row, prior_only=prior_only, logp_new=logp_new
-        ),
+        jump=None,
         build=lambda th, block, moves: _stay_block(th, block, sd, spec.topology == CLOSED),
     )

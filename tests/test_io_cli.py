@@ -380,6 +380,13 @@ class TestCli:
         assert rc == 1
         assert err.startswith(f"error: {cfg_path}: ") and field in err
 
+    def test_no_finite_start_exits_2(self, tmp_path, capsys):
+        rc = main(["run-fixed", "--curves", write_sine_csv(tmp_path / "sine.csv"), "--k", "70",
+                   "--n-eval", "16", "--n-iter", "1000", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: could not find an initial state with finite posterior\n")
+
     @pytest.mark.parametrize("command, flag, value", [
         ("run-fixed", "--proposal-var", "nan"),
         ("run-fixed", "--proposal-var", "inf"),

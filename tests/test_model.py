@@ -132,6 +132,33 @@ class TestMarginalLikelihood:
         assert np.isfinite(cm.log_marginal_likelihood(small_sample_25, theta, spec))
 
 
+class TestReconstructionError:
+    @pytest.mark.parametrize("theta", [[0.5, 0.2], [-0.1, 0.5], [0.5, 0.5], [], [0.3, 1.2]])
+    def test_invalid_vector_raises(self, sine_sample_100, theta):
+        with pytest.raises(cm.LandmarkError, match="invalid landmark vector for open curve"):
+            cm.total_reconstruction_error_sq(sine_sample_100, theta)
+
+    @pytest.mark.parametrize("m, widest", [(1, 320), (5, 64)])
+    def test_batch_chunk_bounded_by_curve_count(self, monkeypatch, m, widest):
+        # the batched engine's temporaries grow with rows times curves, so
+        # a sample of M curves reaches it at most 320 // M rows a call
+        curve = cm.rescale_unit_length(cm.sine_curve(200), 100)
+        sample = cm.CurveSample.build([curve] * m, cm.EvaluationGrid(100, cm.OPEN))
+        widths = []
+        rows = cm.model._error_sq_rows
+
+        def recording_rows(stack, th, grid):
+            widths.append(th.shape[1])
+            return rows(stack, th, grid)
+
+        monkeypatch.setattr(cm.model, "_error_sq_rows", recording_rows)
+        thetas = np.sort(np.random.default_rng(3).uniform(0.05, 0.95, (1000, 4)), axis=1)
+        got = cm.total_reconstruction_error_sq_batch(sample, thetas)
+        assert sum(widths) == 1000 and max(widths) == widest
+        want = [cm.total_reconstruction_error_sq(sample, th) for th in thetas[:5]]
+        np.testing.assert_allclose(got[:5], want, rtol=1e-12)
+
+
 class TestLogPosterior:
     def test_uniform_prior_cancels_in_differences(self, sine_sample_100):
         spec = make_spec(alpha=1.0)

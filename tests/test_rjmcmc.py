@@ -127,6 +127,14 @@ class TestDrawInitialState:
 
 
 class TestRunRjmcmc:
+    def test_no_finite_start_raises(self):
+        # prior draws near k = 81 cannot keep every spacing above the guard
+        # at N = 16
+        sample = polyline_sample(n_eval=16)
+        spec = cm.ModelSpec(n_eval=16, lam=80.0, k_max=120)
+        with pytest.raises(RuntimeError, match="could not find an initial state"):
+            cm.run_rjmcmc(sample, spec, cm.ChainConfig(n_iter=1000))
+
     def test_deterministic_under_seed(self):
         sample = polyline_sample()
         spec = cm.ModelSpec(n_eval=25, lam=1.0)

@@ -81,6 +81,17 @@ class TestPosteriorSampleSet:
         sub = mixed.select_k(1)
         assert sub.n == 2 and set(sub.ks) == {1}
 
+    @pytest.mark.parametrize("thetas, ks, log_post", [
+        (np.zeros((3, 2)), [5, 5, 5], np.zeros(3)),  # ks above the width
+        (np.zeros((3, 2)), [0, 2, 2], np.zeros(3)),  # an empty row
+        (np.zeros((2, 2)), [2], np.zeros(5)),  # one ks entry for two rows
+        (np.zeros((2, 2)), [2, 2], np.zeros(5)),  # five log_post values
+        (np.zeros(3), [1, 1, 1], np.zeros(3)),  # not a table
+    ])
+    def test_inconsistent_arrays_rejected(self, thetas, ks, log_post):
+        with pytest.raises(ValueError):
+            cm.PosteriorSampleSet(thetas, np.array(ks), log_post, 0.5, cm.OPEN)
+
 
 class TestRwmStep:
     def test_flat_target_always_accepts(self):
@@ -186,6 +197,19 @@ class TestRunChain:
         hist, _ = np.histogram(pooled, bins=10, range=(0.0, 1.0))
         assert hist.min() > 0.8 * pooled.size / 10
         assert hist.max() < 1.2 * pooled.size / 10
+
+    def test_no_finite_start_raises(self):
+        # 70 landmarks cannot keep every spacing above the guard at N = 16
+        curve = cm.rescale_unit_length(cm.sine_curve(200), 16)
+        sample = cm.CurveSample.build([curve], cm.EvaluationGrid(16, cm.OPEN))
+        with pytest.raises(RuntimeError, match="could not find an initial state"):
+            cm.run_chain(sample, cm.ModelSpec(n_eval=16), cm.ChainConfig(n_iter=1000), k=70)
+
+    def test_no_accepted_proposal_warns(self, sine_sample_100):
+        cfg = cm.ChainConfig(n_iter=1000, proposal_var=1e12)
+        with pytest.warns(UserWarning, match="chain accepted no proposals"):
+            res = cm.run_chain(sine_sample_100, cm.ModelSpec(n_eval=100), cfg, k=4)
+        assert res.accept_rate == 0.0
 
     def test_sine_posterior_quick(self, sine_sample_100):
         spec = cm.ModelSpec(n_eval=100)
