@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -181,6 +182,10 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    target = os.path.join(args.out_dir, "samples.csv")
+    if all(map(os.path.exists, (args.samples, target))) and os.path.samefile(args.samples, target):
+        raise InputError(f"{args.samples}: summarize would overwrite its input, the samples.csv"
+                         f" of --out-dir {args.out_dir}; pick another --out-dir")
     result = read_samples_csv(args.samples, args.topology)
     modal, summary, densities = _modal_summaries(result)
     if len(summary["k_counts"]) == 1:  # a fixed-k table: nothing to record

@@ -71,11 +71,12 @@ def resample(curve: PlanarCurve, n: int) -> PlanarCurve:
     pts = curve.points
     if curve.closed:
         pts = np.vstack([pts, pts[:1]])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    with np.errstate(over="ignore"):  # a length past the float range is rejected below
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if not np.isfinite(total) or total <= 0.0:
-        raise CurveError("degenerate curve: zero polygonal length")
+        raise CurveError(f"degenerate curve: polygonal length {total}")
     if curve.closed:
         targets = total * np.arange(n) / n
     else:

@@ -107,8 +107,8 @@ _FITS = {
 
 def load_curve_csv(path: str) -> np.ndarray:
     """Read one curve from CSV: one row per sample, columns x,y, header
-    optional; empty cells after a row's last value are ignored.  Errors
-    name the offending file and row."""
+    optional; empty cells after a row's last value are ignored.  Values
+    must be finite.  Errors name the offending file and row."""
     rows: list[list[float]] = []
     try:
         fh = open(path, newline="")
@@ -124,13 +124,16 @@ def load_curve_csv(path: str) -> np.ndarray:
             if len(cells) != 2:
                 raise InputError(f"{path}:{lineno}: expected 2 columns, got {len(cells)}")
             try:
-                rows.append([float(cells[0]), float(cells[1])])
+                xy = [float(cells[0]), float(cells[1])]
             except ValueError:
                 if lineno == 1 and not rows:
                     continue  # header row
                 raise InputError(
                     f"{path}:{lineno}: non-numeric value {cells!r}"
                 ) from None
+            if not all(map(math.isfinite, xy)):
+                raise InputError(f"{path}:{lineno}: non-finite value {cells!r}")
+            rows.append(xy)
     if len(rows) < 3:
         raise InputError(f"{path}: a curve needs at least 3 rows")
     return np.asarray(rows, dtype=float)
@@ -288,26 +291,25 @@ def read_samples_csv(path: str, topology: str | None = None) -> PosteriorSampleS
 
 def persist_results(
     samples: PosteriorSampleSet,
-    summary: dict | None,
+    summary: dict,
     out_dir: str,
     config: RunConfig | None = None,
     densities: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[str]:
     """Write samples.csv, summary.json and density_<j>.csv into
     ``out_dir``; returns the written paths."""
+    # serialized first, so a non-finite value writes nothing
+    record = dict(summary) if config is None else dict(summary, config=config.to_dict())
+    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     written = []
-    if summary is not None:  # serialized first, so a non-finite value writes nothing
-        record = dict(summary) if config is None else dict(summary, config=config.to_dict())
-        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     with _results_dir(out_dir):
         path = os.path.join(out_dir, "samples.csv")
         write_samples_csv(path, samples)
         written.append(path)
-        if summary is not None:
-            path = os.path.join(out_dir, "summary.json")
-            with open(path, "w") as fh:
-                fh.write(text)
-            written.append(path)
+        path = os.path.join(out_dir, "summary.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        written.append(path)
         for j, (grid, dens) in (densities or {}).items():
             path = os.path.join(out_dir, f"density_{j + 1}.csv")
             with open(path, "w", newline="") as fh:

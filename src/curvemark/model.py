@@ -60,9 +60,6 @@ class ModelSpec:
         # below grid resolution the reconstruction is ill-defined
         return 1.0 / (4.0 * self.n_eval)
 
-    def grid(self) -> EvaluationGrid:
-        return EvaluationGrid(self.n_eval, self.topology)
-
 
 @dataclass
 class CurveSample:

@@ -20,9 +20,9 @@ from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_prior_k, log_
 from .rwm import (
     ChainConfig,
     PosteriorSampleSet,
+    _block_proposals,
     _decide,
     _sample_chain,
-    _stay_values,
     draw_initial_theta,
 )
 
@@ -80,30 +80,12 @@ def propose_death(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
     return np.array(th), log_ratio
 
 
-def _jump_block(theta, block, move, sd, topology, move_probs):
-    """The proposals of a table slice as :func:`propose_birth`,
-    :func:`propose_death` and ``rwm._propose_stay`` make them, for the
-    rows' moves ``move`` (0 birth, 1 death, 2 stay), built at once: a
-    (k + 1, B) array with one column per row, each padded with its last
-    landmark, the rows' landmark counts and log proposal ratios."""
-    k = theta.size
-    birth, death = move == 0, move == 1
-    j, v = _stay_values(theta, block, sd, topology == CLOSED)
-    # theta with a stay's component replaced, a death's removed (set to inf
-    # and sorted to the end) and a birth's location in an extra row (inf
-    # for the other moves)
-    rows = np.repeat(np.concatenate((theta, [np.inf]))[:, None], len(block), axis=1)
-    rows[np.where(birth, k, j), np.arange(len(block))] = np.where(
-        birth, block[:, 1], np.where(death, np.inf, v))
-    # an open stay keeps its place, so that a broken order is rejected
-    srt = np.sort(rows, axis=0)
-    rows = srt if topology == CLOSED else np.where(move == 2, rows, srt)
-    # pad each row with its last landmark
-    rows[k - 1] = np.where(death, rows[k - 2], rows[k - 1])
-    rows[k] = np.where(birth, rows[k], rows[k - 1])
-    ratio_b, ratio_d = _jump_log_ratios(k, topology, tuple(move_probs))
-    ks, ratios = np.array([[k + 1, k - 1, k], [ratio_b, ratio_d, 0.0]]).take(move, axis=1)
-    return rows, ks.astype(np.intp), ratios
+def _jump_block(theta, block, moves, sd, topology, move_probs):
+    """The proposals of a table slice for the rows' moves ``moves``, built
+    at once by ``rwm._block_proposals`` with the log ratios of a birth and
+    a death from ``theta``."""
+    ratios = _jump_log_ratios(theta.size, topology, tuple(move_probs))
+    return _block_proposals(theta, block, moves, sd, topology == CLOSED, *ratios)
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:

@@ -138,46 +138,47 @@ def _random_table(rng: np.random.Generator, rows: int) -> np.ndarray:
     return np.column_stack((rng.random((rows, 3)), rng.standard_normal(rows)))
 
 
-def _wrap(v: float) -> float:
-    """``v`` mod 1 in [0, 1): a value just below 0 whose remainder rounds
-    up to 1.0 wraps to 0.0."""
-    v %= 1.0
-    return 0.0 if v == 1.0 else v
-
-
 def _propose_stay(theta: np.ndarray, row, topology: str, sd: float) -> np.ndarray:
     """Random-walk proposal of the component the table row picks; closed
-    curves wrap it mod 1 and re-sort."""
+    curves wrap it mod 1 into [0, 1) and re-sort."""
     prop = theta.tolist()
     j = min(int(row[1] * len(prop)), len(prop) - 1)  # the index the row's where picks
     prop[j] += row[3] * sd
     if topology == CLOSED:
-        prop[j] = _wrap(prop[j])
+        v = prop[j] % 1.0
+        prop[j] = 0.0 if v == 1.0 else v  # just below 0, the remainder can round to 1.0
         prop.sort()
     return np.array(prop)
 
 
-def _stay_values(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
-    """The component index and new value of the stay proposal of every row
-    of a table slice, as :func:`_propose_stay` computes them."""
+def _block_proposals(theta, block, moves, sd, closed, ratio_b, ratio_d):
+    """The proposals of a table slice as ``rjmcmc.propose_birth``,
+    ``rjmcmc.propose_death`` and :func:`_propose_stay` make them, for the
+    rows' moves ``moves`` (0 birth, 1 death, 2 stay), built at once: a
+    (k + 1, B) array with one column per row, each padded with its last
+    landmark, the rows' landmark counts and log proposal ratios
+    (``ratio_b`` for a birth, ``ratio_d`` for a death, 0 for a stay)."""
     k = theta.size
+    birth, death = moves == 0, moves == 1
     j = np.minimum((block[:, 1] * k).astype(np.intp), k - 1)
     v = theta[j] + block[:, 3] * sd
-    if closed:
+    if closed:  # wrapped as _propose_stay wraps it
         v %= 1.0
         v[v == 1.0] = 0.0
-    return j, v
-
-
-def _stay_block(theta: np.ndarray, block: np.ndarray, sd: float, closed: bool):
-    """The stay proposals of a table slice as a (k, B) array (one column
-    per row), their landmark counts and log proposal ratios (0)."""
-    j, v = _stay_values(theta, block, sd, closed)
-    rows = np.repeat(theta[:, None], len(block), axis=1)
-    rows[j, np.arange(len(block))] = v
-    if closed:
-        rows.sort(axis=0)
-    return rows, np.full(len(block), theta.size), 0.0
+    # theta with a stay's component replaced, a death's removed (set to inf
+    # and sorted to the end) and a birth's location in an extra row (inf
+    # for the other moves)
+    rows = np.repeat(np.concatenate((theta, [np.inf]))[:, None], len(block), axis=1)
+    rows[np.where(birth, k, j), np.arange(len(block))] = np.where(
+        birth, block[:, 1], np.where(death, np.inf, v))
+    # an open stay keeps its place, so that a broken order is rejected
+    srt = np.sort(rows, axis=0)
+    rows = srt if closed else np.where(moves == 2, rows, srt)
+    # pad each row with its last landmark
+    rows[k - 1] = np.where(death, rows[k - 2], rows[k - 1])
+    rows[k] = np.where(birth, rows[k], rows[k - 1])
+    ks, ratios = np.array([[k + 1, k - 1, k], [ratio_b, ratio_d, 0.0]]).take(moves, axis=1)
+    return rows, ks.astype(np.intp), ratios
 
 
 def _decide(theta, logp, prop, logp_new, log_ratio, u):
@@ -269,9 +270,10 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
     the scalar log posterior unless given ``logp_new``, a batched score
     that rejects by a clear margin.  ``build(theta, block, moves) ->
     (props, ks, log_ratios)`` makes the proposals of a table slice from
-    ``theta`` at once, as a (K, B) array with one column per row, padded
-    with its last landmark, for :func:`log_posterior_batch` to score at
-    most ``min(_BLOCK_CAP, _BLOCK_CURVE_ROWS // M)`` rows a call.
+    ``theta`` at once through :func:`_block_proposals`, for
+    :func:`log_posterior_batch` to score at most ``min(_BLOCK_CAP,
+    _BLOCK_CURVE_ROWS // M)`` rows a call.  ``spec`` must have the
+    sample's grid (its ``n_eval`` and topology), or ``ValueError``.
 
     A rejected proposal leaves the state unchanged, so in rejection-heavy
     stretches the next B iterations' proposals are built as if every one
@@ -284,6 +286,10 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
     included.  A state has at most k distinct death proposals, so their
     batched scores are kept until the state changes.
     """
+    grid = sample.grid
+    if (spec.n_eval, spec.topology) != (grid.n_eval, grid.topology):
+        raise ValueError(f"spec has n_eval={spec.n_eval}, {spec.topology}; the sample's grid"
+                         f" has n_eval={grid.n_eval}, {grid.topology}")
     rng = np.random.default_rng(cfg.seed)
     variable_k = jump is not None
     for _ in range(100):
@@ -301,11 +307,6 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
             return rwm_step(theta, logp, sample, spec, cfg.proposal_var, row, variable_k,
                             prior_only, logp_new)
         return jump(theta, logp, row, move, logp_new)
-
-    def score(props, ks):
-        return log_posterior_batch(
-            sample, props.T, spec, variable_k=variable_k, include_likelihood=not prior_only, ks=ks
-        )
 
     cap = min(_BLOCK_CAP, max(1, _BLOCK_CURVE_ROWS // sample.m))
     burn_in = cfg.burn_in
@@ -338,7 +339,8 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
     owner, dead = None, {}
 
     def scores(block, moves, props, ks):
-        """A block's batched scores, with each state's deaths scored once."""
+        """A block's batched scores, each state's deaths scored once, with only
+        the landmark rows its scored proposals hold (a spare row costs 2-10%)."""
         nonlocal owner, dead
         if owner is not theta:
             owner, dead = theta, {}
@@ -349,7 +351,10 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
         todo = np.concatenate((np.flatnonzero(moves != 1), list(new.values()))).astype(np.intp)
         lps = np.empty(len(moves))
         if todo.size:
-            lps[todo] = got = score(props.take(todo, 1), ks.take(todo))
+            kt = ks.take(todo)
+            lps[todo] = got = log_posterior_batch(
+                sample, props[: kt.max()].take(todo, 1).T, spec, variable_k=variable_k,
+                include_likelihood=not prior_only, ks=kt)
             dead.update(zip(new, got[len(todo) - len(new) :].tolist()))
         lps[deaths] = [dead[j] for j in picks]
         return lps
@@ -375,7 +380,7 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
         pb, pd, _ = probs(theta.size)
         moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
         props, ks, ratios = build(theta, block, moves)
-        lps = scores(block, moves, props, ks) if pd else score(props, ks)
+        lps = scores(block, moves, props, ks)
         margin = ((lps - logp) + ratios) - np.log(block[:, 2])
         sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
         theta0, logp0 = theta, logp
@@ -420,11 +425,12 @@ def run_chain(
     Burn-in and thinning are applied to the returned sample set; the raw
     acceptance rate covers all iterations.
     """
-    sd = math.sqrt(cfg.proposal_var)
+    sd, closed = math.sqrt(cfg.proposal_var), spec.topology == CLOSED
     return _sample_chain(
         sample, spec, cfg, prior_only,
         draw_prior=lambda rng: draw_initial_theta(rng, spec, k),
         probs=lambda k: (0.0, 0.0, 1.0),
         jump=None,
-        build=lambda th, block, moves: _stay_block(th, block, sd, spec.topology == CLOSED),
+        build=lambda th, block, moves: _block_proposals(th, block, moves, sd, closed,
+                                                        NEG_INF, NEG_INF),
     )

@@ -89,6 +89,13 @@ class TestCurveCsv:
         p.write_text("x,y\n0.0,0.0,\n0.5,0.2,,\n1.0,0.0\n")
         assert load_curve_csv(str(p)).tolist() == [[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"x,y\n0.0,0.0\n0.5,{cell}\n1.0,0.0\n")
+        with pytest.raises(cm.InputError, match=r"nonfinite\.csv:3: non-finite"):
+            load_curve_csv(str(p))
+
     def test_missing_file(self):
         with pytest.raises(cm.InputError):
             load_curve_csv("/nonexistent/file.csv")
@@ -538,6 +545,23 @@ class TestCli:
         )
         assert rc == 0
         assert os.path.exists(os.path.join(sum_out, "summary.json"))
+
+    def test_summarize_into_its_input_directory_exits_1(self, tmp_path, capsys):
+        # a mixed-k table summarized into its own directory would be
+        # replaced by its modal-k rows
+        thetas = [[0.2, 0.5], [0.2, 0.5, 0.8]] * 30
+        samples = cm.PosteriorSampleSet(
+            [np.array(t) for t in thetas], np.array([2, 3] * 30), np.zeros(60), 0.2, cm.OPEN
+        )
+        table = str(tmp_path / "samples.csv")
+        write_samples_csv(table, samples)
+        before = (tmp_path / "samples.csv").read_bytes()
+        for samples_arg in (table, os.path.join(str(tmp_path), ".", "samples.csv")):
+            assert main(["summarize", "--samples", samples_arg, "--out-dir", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {samples_arg}: ")
+        assert (tmp_path / "samples.csv").read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["samples.csv"]
+        assert main(["summarize", "--samples", table, "--out-dir", str(tmp_path / "sum")]) == 0
 
     def test_summarize_open_run_as_closed_exits_1(self, tmp_path, capsys):
         curve_path = write_sine_csv(tmp_path / "sine.csv", 120)

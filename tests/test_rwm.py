@@ -205,6 +205,19 @@ class TestRunChain:
         with pytest.raises(RuntimeError, match="could not find an initial state"):
             cm.run_chain(sample, cm.ModelSpec(n_eval=16), cm.ChainConfig(n_iter=1000), k=70)
 
+    @pytest.mark.parametrize("spec", [cm.ModelSpec(n_eval=400, lam=1.0),
+                                      cm.ModelSpec(n_eval=25, topology=cm.CLOSED, lam=1.0)])
+    @pytest.mark.parametrize("run", [
+        lambda sample, spec, cfg: cm.run_chain(sample, spec, cfg, k=3),
+        lambda sample, spec, cfg: cm.run_rjmcmc(sample, spec, cfg),
+        lambda sample, spec, cfg: cm.distance_criterion(sample, spec, [3], cfg),
+    ], ids=["run_chain", "run_rjmcmc", "distance_criterion"])
+    def test_spec_off_the_sample_grid_raises(self, spec, run):
+        # the chain would score another posterior than the sample's
+        grids = f"n_eval={spec.n_eval}, {spec.topology}.*n_eval=25, open"
+        with pytest.raises(ValueError, match=grids):
+            run(polyline_sample(), spec, cm.ChainConfig(n_iter=1000))
+
     def test_no_accepted_proposal_warns(self, sine_sample_100):
         cfg = cm.ChainConfig(n_iter=1000, proposal_var=1e12)
         with pytest.warns(UserWarning, match="chain accepted no proposals"):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvemark as cm
-from curvemark import rjmcmc, rwm
+from curvemark import rjmcmc
 
 K_MAX = 12
 MOVE_PROBS = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), (0.2, 0.3, 0.5)]
@@ -72,7 +72,7 @@ def test_block_rows_are_the_public_proposals(case):
     moves = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
     rows, ks, ratios = rjmcmc._jump_block(theta, block, moves, sd, topology, move_probs)
     assert rows.shape == (theta.size + 1, len(block))
-    stays = rwm._stay_block(theta, block, sd, topology == cm.CLOSED)
+    stays = rjmcmc._jump_block(theta, block, np.full(len(block), 2), sd, topology, move_probs)
     for i, row in enumerate(block.tolist()):
         prop, log_ratio = public_move(theta, row, spec, var, move_probs)
         assert ks[i] == prop.size and ratios[i] == log_ratio
@@ -80,6 +80,6 @@ def test_block_rows_are_the_public_proposals(case):
         assert np.all(rows[ks[i]:, i] == prop[-1])  # padded with the last landmark
         if row[0] >= pb + pd:
             # the fixed-k chain's block: the stay this row makes
-            assert np.array_equal(stays[0][:, i], prop) and stays[1][i] == prop.size
+            assert np.array_equal(stays[0][:, i], rows[:, i]) and stays[1][i] == prop.size
         if topology == cm.CLOSED or row[0] < pb + pd:
             check_sorted_unit(prop)
