@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import re
 from array import array
 from dataclasses import asdict, dataclass, field, fields
 
@@ -146,7 +147,8 @@ def load_curves(paths, topology: str, n_eval: int) -> CurveSample:
     curves = []
     for path in paths:
         pts = load_curve_csv(path)
-        if topology == CLOSED and np.allclose(pts[0], pts[-1]):
+        # compared exactly: a fixed tolerance drops a distinct point of a small curve
+        if topology == CLOSED and np.array_equal(pts[0], pts[-1]):
             pts = pts[:-1]  # stored representation never duplicates the endpoint
         try:
             curve = rescale_unit_length(PlanarCurve(pts, topology), n_eval)
@@ -297,12 +299,18 @@ def persist_results(
     densities: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[str]:
     """Write samples.csv, summary.json and density_<j>.csv into
-    ``out_dir``; returns the written paths."""
+    ``out_dir``; returns the written paths.  A ``density_<j>.csv`` that
+    this run does not write (j above its count of densities), left by an
+    earlier run with more landmarks, is deleted first."""
     # serialized first, so a non-finite value writes nothing
     record = dict(summary) if config is None else dict(summary, config=config.to_dict())
     text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     written = []
     with _results_dir(out_dir):
+        for name in os.listdir(out_dir):
+            j = re.fullmatch(r"density_([1-9][0-9]*)\.csv", name)
+            if j and int(j[1]) > len(densities or ()):
+                os.remove(os.path.join(out_dir, name))
         path = os.path.join(out_dir, "samples.csv")
         write_samples_csv(path, samples)
         written.append(path)

@@ -16,12 +16,11 @@ import math
 import numpy as np
 
 from .curves import CLOSED
-from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_prior_k, log_posterior_theta
+from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_prior_k
 from .rwm import (
     ChainConfig,
     PosteriorSampleSet,
     _block_proposals,
-    _decide,
     _sample_chain,
     draw_initial_theta,
 )
@@ -106,22 +105,11 @@ def run_rjmcmc(
     """Run the birth-death-stay chain over (k, theta)."""
     k_min = k_min_for(spec.topology)
     sd = math.sqrt(cfg.proposal_var)
-
-    def jump(th, lp, row, move, logp_new=None):
-        propose = propose_birth if move == 0 else propose_death
-        prop, log_ratio = propose(th, row[1], spec, cfg.move_probs)
-        if logp_new is not None:  # a batched score that rejects by a clear margin
-            return th, lp, False
-        logp_new = log_posterior_theta(
-            sample, prop, spec, variable_k=True, include_likelihood=not prior_only
-        )
-        return _decide(th, lp, prop, logp_new, log_ratio, row[2])
-
     return _sample_chain(
         sample, spec, cfg, prior_only,
         draw_prior=lambda rng: draw_initial_state(rng, spec),
         probs=lambda k: move_probabilities(k, k_min, cfg.move_probs),
-        jump=jump,
+        jumps=(propose_birth, propose_death),
         build=lambda th, block, moves: _jump_block(
             th, block, moves, sd, spec.topology, cfg.move_probs
         ),

@@ -1,6 +1,6 @@
 """Random-walk Metropolis sampler over landmark locations for fixed k, and
 ``_sample_chain``, the one chain driver that it and the reversible-jump
-sampler pass their moves to: the generator, start, stay step and loop."""
+sampler pass their moves to: the generator, start, scoring and loop."""
 
 from __future__ import annotations
 
@@ -209,9 +209,9 @@ def rwm_step(
     vector is re-sorted), open-curve proposals that break the ordering
     carry prior support 0 and are auto-rejected.  ``logp_new``, when
     given, is taken as the proposal's log posterior instead of evaluating
-    it, and the proposal is built only if it is accepted (the block loop
-    of the samplers passes the batched score of a proposal it has already
-    built).  Returns ``(theta, logp, accepted)``.
+    it, and the proposal is built only if it is accepted (the chain
+    driver passes the batched score of a block row it has already built).
+    Returns ``(theta, logp, accepted)``.
     """
     if logp_new is not None:
         _, logp, accepted = _decide(theta, logp, None, logp_new, 0.0, row[2])
@@ -253,7 +253,7 @@ _MARGIN = 1e-9
 _MOVES = ("birth", "death", "stay")
 
 
-def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build):
+def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build):
     """Run one chain and return its retained draws as a sample set: the
     driver of both samplers.  With ``rng = default_rng(cfg.seed)``, the
     chain starts from the first of up to 100 prior draws
@@ -262,36 +262,36 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
     (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
     Its move is birth below ``pb``, death below ``pb + pd`` and stay
     otherwise, for ``(pb, pd, ps) = probs(k)`` at the state's landmark
-    count k.  A stay is one :func:`rwm_step`; a birth or death is
-    ``jump(theta, logp, row, move, logp_new=None) -> (theta, logp,
-    accepted)`` through ``propose_birth`` or ``propose_death``.  The
-    fixed-k chain passes ``jump=None`` and only stays; with ``jump`` the
-    log posterior includes the k prior.  A move scores its proposal with
-    the scalar log posterior unless given ``logp_new``, a batched score
-    that rejects by a clear margin.  ``build(theta, block, moves) ->
-    (props, ks, log_ratios)`` makes the proposals of a table slice from
-    ``theta`` at once through :func:`_block_proposals`, for
-    :func:`log_posterior_batch` to score at most ``min(_BLOCK_CAP,
-    _BLOCK_CURVE_ROWS // M)`` rows a call.  ``spec`` must have the
-    sample's grid (its ``n_eval`` and topology), or ``ValueError``.
+    count k.  A stay is one :func:`rwm_step`; a birth or death is one call
+    of ``jumps = (propose_birth, propose_death)``, whose proposal the
+    driver scores and decides.  The fixed-k chain passes ``jumps=None``
+    and only stays; with ``jumps`` the log posterior includes the k prior.
+    ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
+    proposals of a table slice from ``theta`` at once through
+    :func:`_block_proposals`, for :func:`log_posterior_batch` to score at
+    most ``min(_BLOCK_CAP, _BLOCK_CURVE_ROWS // M)`` rows a call.
+    ``spec`` must have the sample's grid (its ``n_eval`` and topology),
+    or ``ValueError``.
 
-    A rejected proposal leaves the state unchanged, so in rejection-heavy
-    stretches the next B iterations' proposals are built as if every one
-    were rejected and scored in one batched call (Brockwell 2006,
-    pre-fetching along the rejection path).  The iterations are then
-    replayed through the moves up to the first accept, each with its
-    batched score where that score rejects by a clear margin.  So the
-    public move functions run once per iteration, in chain order, and the
-    chain is the one-at-a-time chain, draw for draw, log posteriors
-    included.  A state has at most k distinct death proposals, so their
-    batched scores are kept until the state changes.
+    The chain advances by slices of the table, each walked through the
+    moves in chain order up to its first accept, one public move call
+    per iteration.  A rejected proposal leaves the state unchanged, so in
+    rejection-heavy stretches a slice is a block of B rows whose
+    proposals are built as if every one were rejected and scored in one
+    batched call (Brockwell 2006, pre-fetching along the rejection path);
+    a row keeps its batched score where that rejects by a clear margin.
+    Elsewhere a slice is one row, which is not batch-scored.  Every other
+    proposal is scored by the scalar log posterior, so the chain is the
+    one-at-a-time chain, draw for draw, log posteriors included.  A state
+    has at most k distinct death proposals, so their batched scores are
+    kept until the state changes.
     """
     grid = sample.grid
     if (spec.n_eval, spec.topology) != (grid.n_eval, grid.topology):
         raise ValueError(f"spec has n_eval={spec.n_eval}, {spec.topology}; the sample's grid"
                          f" has n_eval={grid.n_eval}, {grid.topology}")
     rng = np.random.default_rng(cfg.seed)
-    variable_k = jump is not None
+    variable_k = jumps is not None
     for _ in range(100):
         theta = draw_prior(rng)
         logp = log_posterior_theta(
@@ -302,38 +302,11 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
     else:
         raise RuntimeError("could not find an initial state with finite posterior")
 
-    def step(theta, logp, row, move, logp_new=None):
-        if move == 2:
-            return rwm_step(theta, logp, sample, spec, cfg.proposal_var, row, variable_k,
-                            prior_only, logp_new)
-        return jump(theta, logp, row, move, logp_new)
-
     cap = min(_BLOCK_CAP, max(1, _BLOCK_CURVE_ROWS // sample.m))
-    burn_in = cfg.burn_in
     kept_theta: list[np.ndarray] = []
     kept_logp: list[float] = []
     proposed = [0] * len(_MOVES)
     accepts = [0] * len(_MOVES)
-
-    def keep(t0, t1, theta, logp):
-        """Retain the state ending iterations t0 .. t1 - 1."""
-        first = burn_in if t0 <= burn_in else t0 + (burn_in - t0) % cfg.thin
-        for _ in range(first, t1, cfg.thin):
-            kept_theta.append(theta.copy())
-            kept_logp.append(logp)
-
-    # rows base .. base + len(table) - 1 of the table
-    table = np.empty((0, 4))
-    base = 0
-
-    def reach(stop):
-        """Draw table chunks until row ``stop - 1`` is held, dropping the
-        rows before iteration t."""
-        nonlocal table, base
-        while base + len(table) < stop:
-            chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(table)))
-            table = np.concatenate((table[t - base :], chunk))
-            base = t
 
     # the state whose death scores (landmark index -> score) `dead` holds
     owner, dead = None, {}
@@ -359,47 +332,53 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jump, build)
         lps[deaths] = [dead[j] for j in picks]
         return lps
 
-    run = t = 0
+    # rows base .. base + len(table) - 1 of the table
+    table = np.empty((0, 4))
+    base = run = t = 0
+    due = cfg.burn_in  # the next iteration whose end state is retained
     while t < cfg.n_iter:
-        if run < _RUN_FOR_BLOCKS or sum(accepts) > _BLOCK_ACCEPT_RATE * t:
-            if t == base + len(table):
-                reach(t + 1)
-            row = table[t - base].tolist()
-            pb, pd, _ = probs(theta.size)
-            move = 0 if row[0] < pb else 1 if row[0] < pb + pd else 2
-            theta, logp, acc = step(theta, logp, row, move)
-            proposed[move] += 1
-            accepts[move] += acc
-            run = 0 if acc else run + 1
-            keep(t, t + 1, theta, logp)
-            t += 1
-            continue
-        size = min(cap, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)), cfg.n_iter - t)
-        reach(t + size)
+        gated = run >= _RUN_FOR_BLOCKS and sum(accepts) <= _BLOCK_ACCEPT_RATE * t
+        size = min(cap, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)),
+                   cfg.n_iter - t) if gated else 1
+        while base + len(table) < t + size:  # drop the rows before t, draw the next chunk
+            chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(table)))
+            table = np.concatenate((table[t - base :], chunk))
+            base = t
         block = table[t - base : t - base + size]
         pb, pd, _ = probs(theta.size)
-        moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
-        props, ks, ratios = build(theta, block, moves)
-        lps = scores(block, moves, props, ks)
-        margin = ((lps - logp) + ratios) - np.log(block[:, 2])
-        sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
+        given = [None]  # per row, a batched score that rejects by a clear margin
+        if gated:
+            # each row's move, as the loop below picks it
+            moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
+            props, ks, ratios = build(theta, block, moves)
+            lps = scores(block, moves, props, ks)
+            margin = ((lps - logp) + ratios) - np.log(block[:, 2])
+            sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
+            given = [lp if s else None for lp, s in zip(lps.tolist(), sure)]
         theta0, logp0 = theta, logp
-        i = -1
-        for row, move, lp, given in zip(block.tolist(), moves.tolist(), lps.tolist(), sure):
-            theta, logp, acc = step(theta, logp, row, move, lp if given else None)
-            i += 1
+        for n, (row, lp) in enumerate(zip(block.tolist(), given), 1):
+            move = 0 if row[0] < pb else 1 if row[0] < pb + pd else 2
+            proposed[move] += 1
+            if move == 2:
+                theta, logp, acc = rwm_step(theta, logp, sample, spec, cfg.proposal_var, row,
+                                            variable_k, prior_only, lp)
+            else:
+                prop, log_ratio = jumps[move](theta, row[1], spec, cfg.move_probs)
+                acc = False  # a given lp rejects by a clear margin
+                if lp is None:
+                    lp = log_posterior_theta(
+                        sample, prop, spec, variable_k=True, include_likelihood=not prior_only
+                    )
+                    theta, logp, acc = _decide(theta, logp, prop, lp, log_ratio, row[2])
             if acc:
+                accepts[move] += 1
                 break
-        for kind, n in enumerate(np.bincount(moves[: i + 1], minlength=len(_MOVES)).tolist()):
-            proposed[kind] += n
-        keep(t, t + i, theta0, logp0)
-        keep(t + i, t + i + 1, theta, logp)
-        t += i + 1
-        if acc:
-            accepts[move] += 1
-            run = 0
-        else:
-            run += size
+        t += n
+        run = 0 if acc else run + n
+        while due < t:  # iteration due ends in theta0 unless it is the slice's last
+            kept_theta.append((theta if due == t - 1 else theta0).copy())
+            kept_logp.append(logp if due == t - 1 else logp0)
+            due += cfg.thin
 
     accepted = sum(accepts)
     if accepted == 0:
@@ -430,7 +409,7 @@ def run_chain(
         sample, spec, cfg, prior_only,
         draw_prior=lambda rng: draw_initial_theta(rng, spec, k),
         probs=lambda k: (0.0, 0.0, 1.0),
-        jump=None,
+        jumps=None,
         build=lambda th, block, moves: _block_proposals(th, block, moves, sd, closed,
                                                         NEG_INF, NEG_INF),
     )

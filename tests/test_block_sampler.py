@@ -64,7 +64,6 @@ def run_case(case, monkeypatch):
         return cm.model.log_posterior_theta(*args, **kwargs)
 
     monkeypatch.setattr(rwm, "log_posterior_theta", counted)
-    monkeypatch.setattr(rjmcmc, "log_posterior_theta", counted)
     if variable_k:
         res = cm.run_rjmcmc(sample, spec, cfg, prior_only=prior_only)
     else:
@@ -176,7 +175,8 @@ def recorded_moves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
+@pytest.mark.parametrize(
+    "name", ["closed-fixed", "open-variable", "closed-variable", "open-variable-prior"])
 def test_move_counts_match_public_moves(name, references, monkeypatch):
     # the counts per move kind that the sampler reports, against those
     # read off the public move calls: a stay is accepted iff rwm_step

@@ -127,6 +127,32 @@ class TestLoadCurves:
         assert sample.curves[0].n_points == 64
         assert cm.polygonal_length(sample.curves[0]) == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def loaded_point_counts(tmp_path, monkeypatch, pts):
+        """Load ``pts`` as a closed curve file; returns the number of points
+        the curve is built from."""
+        p = tmp_path / "closed.csv"
+        p.write_text("".join(f"{float(x)!r},{float(y)!r}\n" for x, y in pts))
+        counts = []
+        build = cm.io.PlanarCurve
+        monkeypatch.setattr(cm.io, "PlanarCurve",
+                            lambda pts, topology: counts.append(len(pts)) or build(pts, topology))
+        cm.load_curves([str(p)], cm.CLOSED, 32)
+        return counts
+
+    def test_small_closed_curve_keeps_its_last_point(self, tmp_path, monkeypatch):
+        # 40 distinct points within 1e-8 of each other: none is a closing repeat
+        ang = 2 * np.pi * np.arange(40) / 40
+        pts = 1e-9 * np.column_stack([np.cos(ang), np.sin(ang)])
+        assert self.loaded_point_counts(tmp_path, monkeypatch, pts) == [40]
+
+    @pytest.mark.parametrize("radius", [1e-9, 1e3])
+    def test_repeated_first_point_dropped_at_any_scale(self, tmp_path, monkeypatch, radius):
+        ang = 2 * np.pi * np.arange(40) / 40
+        pts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = np.vstack([pts, pts[:1]])
+        assert self.loaded_point_counts(tmp_path, monkeypatch, pts) == [40]
+
     def test_multi_file_alignment_reproducible(self, tmp_path):
         rng = np.random.default_rng(0)
         paths = []
@@ -545,6 +571,22 @@ class TestCli:
         )
         assert rc == 0
         assert os.path.exists(os.path.join(sum_out, "summary.json"))
+
+    def test_rerun_with_fewer_landmarks_deletes_stale_densities(self, tmp_path):
+        # a k = 3 run into a k = 4 run's directory leaves no density_4.csv
+        # beside its k = 3 summary; files of other names stay
+        curve_path = write_sine_csv(tmp_path / "sine.csv", 120)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "density_04.csv").write_text("t,density\n")
+        for k in ("4", "3"):
+            assert main(["run-fixed", "--curves", curve_path, "--k", k, "--n-eval", "50",
+                         "--n-iter", "2000", "--thin", "10", "--seed", "1",
+                         "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "density_04.csv", "density_1.csv", "density_2.csv", "density_3.csv",
+            "samples.csv", "summary.json"]
+        assert json.loads((out / "summary.json").read_text())["k"] == 3
 
     def test_summarize_into_its_input_directory_exits_1(self, tmp_path, capsys):
         # a mixed-k table summarized into its own directory would be

@@ -1,9 +1,14 @@
-"""Print the SHA-256 of every file the README's command-line sequence writes.
+"""Print the SHA-256 of every file the README's command-line sequence and two
+closed-curve runs write.
 
 Runs, in a temporary directory and for each seed, the README commands:
 ``generate`` the sine curve, ``run-fixed``, ``run-rjmcmc`` and
 ``criterion`` on it, then ``summarize`` of the ``run-rjmcmc`` table into a
-directory of its own.  Each command writes under ``<seed>/<command>/``.
+directory of its own.  Then a closed ``run-fixed`` and a closed
+``run-rjmcmc`` (lambda 2) on two ``cut-half-circle`` outlines at 64
+evaluation points and 4,000 iterations, which take the start alignment,
+the label alignment and the closed block path.  Each command writes under
+``<seed>/<command>/``.
 One line per output file, ``sha256  relative-path``, sorted by path, so a
 refactor that keeps seeded outputs byte-identical shows as an empty diff:
 
@@ -26,9 +31,13 @@ from curvemark.cli import main as curvemark_main
 
 
 def commands(seed: int) -> list[list[str]]:
-    """The README sequence for one seed, each command in its own directory."""
+    """The README sequence and the closed runs for one seed, each command in
+    its own directory."""
     d, s = str(seed), ["--seed", str(seed)]
     sine = os.path.join(d, "sine.csv")
+    cuts = {c: os.path.join(d, f"cut_{c}.csv") for c in ("0.3", "0.5")}
+    closed = ["--curves", *cuts.values(), "--topology", "closed", "--n-eval", "64",
+              "--n-iter", "4000", "--thin", "10", *s]
     return [
         ["generate", "--name", "sine", "--n", "200", "--out", sine],
         ["run-fixed", "--curves", sine, "--k", "4", "--n-eval", "200", *s,
@@ -39,6 +48,10 @@ def commands(seed: int) -> list[list[str]]:
          "--out-dir", os.path.join(d, "criterion")],
         ["summarize", "--samples", os.path.join(d, "run-rjmcmc", "samples.csv"),
          "--out-dir", os.path.join(d, "summarize")],
+        *(["generate", "--name", "cut-half-circle", "--cut", c, "--n", "240", "--out", path]
+          for c, path in cuts.items()),
+        ["run-fixed", *closed, "--k", "4", "--out-dir", os.path.join(d, "closed-fixed")],
+        ["run-rjmcmc", *closed, "--lam", "2", "--out-dir", os.path.join(d, "closed-rjmcmc")],
     ]
 
 
