@@ -109,10 +109,11 @@ _FITS = {
 def load_curve_csv(path: str) -> np.ndarray:
     """Read one curve from CSV: one row per sample, columns x,y, header
     optional; empty cells after a row's last value are ignored.  Values
-    must be finite.  Errors name the offending file and row."""
+    must be finite.  Errors name the offending file and row.  A UTF-8 byte
+    order mark, as spreadsheet tools write, is skipped."""
     rows: list[list[float]] = []
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:

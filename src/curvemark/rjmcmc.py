@@ -4,26 +4,19 @@ Births insert a uniformly drawn location and deaths remove a uniformly
 chosen landmark, so the dimension-matching Jacobian is 1 and the proposal
 ratio reduces to move probabilities and selection counts.  At the minimum
 landmark count the death mass is reassigned to births, with the asymmetry
-carried in the acceptance ratio.
+carried in the acceptance ratio.  :func:`_moves` is the per-k move table
+that the chain driver and both jump proposals read.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import math
 
 import numpy as np
 
-from .curves import CLOSED
 from .model import CurveSample, ModelSpec, NEG_INF, k_min_for, log_prior_k
-from .rwm import (
-    ChainConfig,
-    PosteriorSampleSet,
-    _block_proposals,
-    _sample_chain,
-    draw_initial_theta,
-)
+from .rwm import ChainConfig, PosteriorSampleSet, _sample_chain, draw_initial_theta
 
 
 def move_probabilities(k: int, k_min: int, move_probs) -> tuple[float, float, float]:
@@ -36,18 +29,18 @@ def move_probabilities(k: int, k_min: int, move_probs) -> tuple[float, float, fl
 
 
 @functools.lru_cache(maxsize=256)
-def _jump_log_ratios(k: int, topology: str, move_probs: tuple) -> tuple[float, float]:
-    """Log proposal ratios of a birth from k and of a death from k (-inf
-    where no death is allowed)."""
+def _moves(k: int, topology: str, move_probs: tuple) -> tuple[float, float, float, float]:
+    """The move table's row at k: the birth and death probabilities and the
+    log proposal ratios of a birth from k and of a death from k (-inf where
+    no death is allowed)."""
     k_min = k_min_for(topology)
-    pb = move_probabilities(k, k_min, move_probs)[0]
+    pb, pd, _ = move_probabilities(k, k_min, move_probs)
     pd_next = move_probabilities(k + 1, k_min, move_probs)[1]
     birth = float(np.log(pd_next) - np.log(k + 1.0) - np.log(pb))
     if k <= k_min:
-        return birth, NEG_INF
-    pd = move_probabilities(k, k_min, move_probs)[1]
+        return pb, pd, birth, NEG_INF
     pb_prev = move_probabilities(k - 1, k_min, move_probs)[0]
-    return birth, float(np.log(pb_prev) + np.log(float(k)) - np.log(pd))
+    return pb, pd, birth, float(np.log(pb_prev) + np.log(float(k)) - np.log(pd))
 
 
 def propose_birth(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
@@ -61,7 +54,7 @@ def propose_birth(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
     from the one the acceptance ratio assumes.
     """
     th = theta.tolist()
-    log_ratio = _jump_log_ratios(len(th), spec.topology, tuple(move_probs))[0]
+    log_ratio = _moves(len(th), spec.topology, tuple(move_probs))[2]
     bisect.insort(th, where)
     return np.array(th), log_ratio
 
@@ -71,20 +64,12 @@ def propose_death(theta: np.ndarray, where: float, spec: ModelSpec, move_probs):
     k - 1)``: uniformly chosen for ``where`` uniform on [0, 1).  Reciprocal
     of the matched birth."""
     k = theta.size
-    log_ratio = _jump_log_ratios(k, spec.topology, tuple(move_probs))[1]
+    log_ratio = _moves(k, spec.topology, tuple(move_probs))[3]
     if log_ratio == NEG_INF:
         raise ValueError("death move proposed at the minimum landmark count")
     th = theta.tolist()
     del th[min(int(where * k), k - 1)]
     return np.array(th), log_ratio
-
-
-def _jump_block(theta, block, moves, sd, topology, move_probs):
-    """The proposals of a table slice for the rows' moves ``moves``, built
-    at once by ``rwm._block_proposals`` with the log ratios of a birth and
-    a death from ``theta``."""
-    ratios = _jump_log_ratios(theta.size, topology, tuple(move_probs))
-    return _block_proposals(theta, block, moves, sd, topology == CLOSED, *ratios)
 
 
 def draw_initial_state(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
@@ -103,14 +88,9 @@ def run_rjmcmc(
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
     """Run the birth-death-stay chain over (k, theta)."""
-    k_min = k_min_for(spec.topology)
-    sd = math.sqrt(cfg.proposal_var)
     return _sample_chain(
         sample, spec, cfg, prior_only,
         draw_prior=lambda rng: draw_initial_state(rng, spec),
-        probs=lambda k: move_probabilities(k, k_min, cfg.move_probs),
+        moves=lambda k: _moves(k, spec.topology, tuple(cfg.move_probs)),
         jumps=(propose_birth, propose_death),
-        build=lambda th, block, moves: _jump_block(
-            th, block, moves, sd, spec.topology, cfg.move_probs
-        ),
     )

@@ -1,6 +1,6 @@
 """Random-walk Metropolis sampler over landmark locations for fixed k, and
-``_sample_chain``, the one chain driver that it and the reversible-jump
-sampler pass their moves to: the generator, start, scoring and loop."""
+``_sample_chain``, the one chain driver of both samplers, which read their
+moves from a per-k move table: the generator, start, blocks and loop."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .curves import CLOSED
 from .model import _CURVE_ROWS as _BLOCK_CURVE_ROWS
 from .model import (CurveSample, ModelSpec, NEG_INF, _stack_rows, log_posterior_batch,
                     log_posterior_theta)
-from .reconstruct import spacing_to_theta
+from .reconstruct import k_min_for, spacing_to_theta
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,15 @@ def _propose_stay(theta: np.ndarray, row, topology: str, sd: float) -> np.ndarra
     return np.array(prop)
 
 
-def _block_proposals(theta, block, moves, sd, closed, ratio_b, ratio_d):
+def _block_proposals(theta, block, kinds, sd, closed, ratio_b, ratio_d):
     """The proposals of a table slice as ``rjmcmc.propose_birth``,
     ``rjmcmc.propose_death`` and :func:`_propose_stay` make them, for the
-    rows' moves ``moves`` (0 birth, 1 death, 2 stay), built at once: a
+    rows' move kinds ``kinds`` (0 birth, 1 death, 2 stay), built at once: a
     (k + 1, B) array with one column per row, each padded with its last
     landmark, the rows' landmark counts and log proposal ratios
     (``ratio_b`` for a birth, ``ratio_d`` for a death, 0 for a stay)."""
     k = theta.size
-    birth, death = moves == 0, moves == 1
+    birth, death = kinds == 0, kinds == 1
     j = np.minimum((block[:, 1] * k).astype(np.intp), k - 1)
     v = theta[j] + block[:, 3] * sd
     if closed:  # wrapped as _propose_stay wraps it
@@ -173,11 +173,11 @@ def _block_proposals(theta, block, moves, sd, closed, ratio_b, ratio_d):
         birth, block[:, 1], np.where(death, np.inf, v))
     # an open stay keeps its place, so that a broken order is rejected
     srt = np.sort(rows, axis=0)
-    rows = srt if closed else np.where(moves == 2, rows, srt)
+    rows = srt if closed else np.where(kinds == 2, rows, srt)
     # pad each row with its last landmark
     rows[k - 1] = np.where(death, rows[k - 2], rows[k - 1])
     rows[k] = np.where(birth, rows[k], rows[k - 1])
-    ks, ratios = np.array([[k + 1, k - 1, k], [ratio_b, ratio_d, 0.0]]).take(moves, axis=1)
+    ks, ratios = np.array([[k + 1, k - 1, k], [ratio_b, ratio_d, 0.0]]).take(kinds, axis=1)
     return rows, ks.astype(np.intp), ratios
 
 
@@ -225,8 +225,8 @@ def rwm_step(
     return _decide(theta, logp, prop, logp_new, 0.0, row[2])
 
 
-# Blocks along the rejection path: a chain that has just rejected at least
-# _RUN_FOR_BLOCKS proposals in a row, and has accepted at most
+# Blocks along the rejection path: a chain whose last proposal was
+# rejected, and that has accepted at most
 # _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals in
 # blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, its mean run of
 # rejections so far), remaining iterations).  A block's build, batched call
@@ -244,7 +244,6 @@ def rwm_step(
 # M curves caps blocks at _BLOCK_CURVE_ROWS // M rows, the engine's own
 # chunk (model._CURVE_ROWS), to keep them on the heap (M = 5, N = 1000: a
 # 128-row call took 118 page faults, 64 rows none).
-_RUN_FOR_BLOCKS = 1
 _BLOCK_ACCEPT_RATE = 0.05
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 128
@@ -253,7 +252,7 @@ _MARGIN = 1e-9
 _MOVES = ("birth", "death", "stay")
 
 
-def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build):
+def _sample_chain(sample, spec, cfg, prior_only, draw_prior, moves, jumps):
     """Run one chain and return its retained draws as a sample set: the
     driver of both samplers.  With ``rng = default_rng(cfg.seed)``, the
     chain starts from the first of up to 100 prior draws
@@ -261,15 +260,16 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
     iterations.  Iteration t reads row t of the chain's random table
     (:func:`_random_table`, drawn from ``rng`` as the chain reaches it).
     Its move is birth below ``pb``, death below ``pb + pd`` and stay
-    otherwise, for ``(pb, pd, ps) = probs(k)`` at the state's landmark
-    count k.  A stay is one :func:`rwm_step`; a birth or death is one call
-    of ``jumps = (propose_birth, propose_death)``, whose proposal the
-    driver scores and decides.  The fixed-k chain passes ``jumps=None``
-    and only stays; with ``jumps`` the log posterior includes the k prior.
-    ``build(theta, block, moves) -> (props, ks, log_ratios)`` makes the
-    proposals of a table slice from ``theta`` at once through
-    :func:`_block_proposals`, for :func:`log_posterior_batch` to score at
-    most ``min(_BLOCK_CAP, _BLOCK_CURVE_ROWS // M)`` rows a call.
+    otherwise, for ``(pb, pd, ratio_b, ratio_d) = moves(k)``, the move
+    table's row at the state's landmark count k.  A stay is one
+    :func:`rwm_step`; a birth or death is one call of ``jumps =
+    (propose_birth, propose_death)``, whose proposal the driver scores and
+    decides.  The fixed-k chain passes ``jumps=None`` and the stay-only
+    row ``(0, 0, -inf, -inf)``; with ``jumps`` the log posterior includes
+    the k prior.  :func:`_block_proposals` builds a table slice's
+    proposals from ``theta`` and the row's log ratios at once, for
+    :func:`log_posterior_batch` to score at most ``min(_BLOCK_CAP,
+    _BLOCK_CURVE_ROWS // M)`` rows a call.
     ``spec`` must have the sample's grid (its ``n_eval`` and topology),
     or ``ValueError``.
 
@@ -292,6 +292,7 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
                          f" has n_eval={grid.n_eval}, {grid.topology}")
     rng = np.random.default_rng(cfg.seed)
     variable_k = jumps is not None
+    sd, closed = math.sqrt(cfg.proposal_var), spec.topology == CLOSED
     for _ in range(100):
         theta = draw_prior(rng)
         logp = log_posterior_theta(
@@ -311,18 +312,18 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
     # the state whose death scores (landmark index -> score) `dead` holds
     owner, dead = None, {}
 
-    def scores(block, moves, props, ks):
+    def scores(block, kinds, props, ks):
         """A block's batched scores, each state's deaths scored once, with only
         the landmark rows its scored proposals hold (a spare row costs 2-10%)."""
         nonlocal owner, dead
         if owner is not theta:
             owner, dead = theta, {}
-        deaths = np.flatnonzero(moves == 1)
+        deaths = np.flatnonzero(kinds == 1)
         picks = np.minimum((block[deaths, 1] * theta.size).astype(np.intp), theta.size - 1).tolist()
         # landmark index -> the block's first row removing it, if not yet scored
         new = {j: i for i, j in zip(deaths[::-1].tolist(), picks[::-1]) if j not in dead}
-        todo = np.concatenate((np.flatnonzero(moves != 1), list(new.values()))).astype(np.intp)
-        lps = np.empty(len(moves))
+        todo = np.concatenate((np.flatnonzero(kinds != 1), list(new.values()))).astype(np.intp)
+        lps = np.empty(len(kinds))
         if todo.size:
             kt = ks.take(todo)
             lps[todo] = got = log_posterior_batch(
@@ -337,7 +338,7 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
     base = run = t = 0
     due = cfg.burn_in  # the next iteration whose end state is retained
     while t < cfg.n_iter:
-        gated = run >= _RUN_FOR_BLOCKS and sum(accepts) <= _BLOCK_ACCEPT_RATE * t
+        gated = run > 0 and sum(accepts) <= _BLOCK_ACCEPT_RATE * t
         size = min(cap, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)),
                    cfg.n_iter - t) if gated else 1
         while base + len(table) < t + size:  # drop the rows before t, draw the next chunk
@@ -345,13 +346,13 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
             table = np.concatenate((table[t - base :], chunk))
             base = t
         block = table[t - base : t - base + size]
-        pb, pd, _ = probs(theta.size)
+        pb, pd, ratio_b, ratio_d = moves(theta.size)
         given = [None]  # per row, a batched score that rejects by a clear margin
         if gated:
-            # each row's move, as the loop below picks it
-            moves = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
-            props, ks, ratios = build(theta, block, moves)
-            lps = scores(block, moves, props, ks)
+            # each row's move kind, as the loop below picks it
+            kinds = np.array([pb, pb + pd]).searchsorted(block[:, 0], side="right")
+            props, ks, ratios = _block_proposals(theta, block, kinds, sd, closed, ratio_b, ratio_d)
+            lps = scores(block, kinds, props, ks)
             margin = ((lps - logp) + ratios) - np.log(block[:, 2])
             sure = (margin <= -_MARGIN * (1.0 + np.abs(lps))).tolist()
             given = [lp if s else None for lp, s in zip(lps.tolist(), sure)]
@@ -383,11 +384,11 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, probs, jumps, build
     accepted = sum(accepts)
     if accepted == 0:
         warnings.warn("chain accepted no proposals; check the proposal settings")
-    moves = {name: {"proposed": p, "accepted": a} for name, p, a in zip(_MOVES, proposed, accepts)
-             if variable_k or name == "stay"}
+    counts = {name: {"proposed": p, "accepted": a}
+              for name, p, a in zip(_MOVES, proposed, accepts) if variable_k or name == "stay"}
     ks = np.array([th.size for th in kept_theta], dtype=int)
     return PosteriorSampleSet(
-        kept_theta, ks, np.asarray(kept_logp), accepted / cfg.n_iter, spec.topology, moves
+        kept_theta, ks, np.asarray(kept_logp), accepted / cfg.n_iter, spec.topology, counts
     )
 
 
@@ -399,17 +400,18 @@ def run_chain(
     prior_only: bool = False,
 ) -> PosteriorSampleSet:
     """Run the fixed-k random-walk Metropolis chain with ``k`` landmarks,
-    started from a prior draw.
+    started from a prior draw.  ``k`` below the topology's minimum,
+    ``k_min_for(spec.topology)``, raises ``ValueError``.
 
     Burn-in and thinning are applied to the returned sample set; the raw
     acceptance rate covers all iterations.
     """
-    sd, closed = math.sqrt(cfg.proposal_var), spec.topology == CLOSED
+    if k < k_min_for(spec.topology):
+        raise ValueError(f"k={k} is below the {spec.topology}-curve minimum,"
+                         f" {k_min_for(spec.topology)}")
     return _sample_chain(
         sample, spec, cfg, prior_only,
         draw_prior=lambda rng: draw_initial_theta(rng, spec, k),
-        probs=lambda k: (0.0, 0.0, 1.0),
+        moves=lambda k: (0.0, 0.0, NEG_INF, NEG_INF),  # stay only
         jumps=None,
-        build=lambda th, block, moves: _block_proposals(th, block, moves, sd, closed,
-                                                        NEG_INF, NEG_INF),
     )

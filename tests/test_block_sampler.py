@@ -123,15 +123,15 @@ def test_chain_does_not_depend_on_block_cap(name, cap, references, monkeypatch):
     assert_same_chain(res, ref)
 
 
-# (run of rejections that opens a block, first block size, cap)
-SIZINGS = [(1, 64, 128), (1, 1, 1), (4, 1, 128), (2, 3, 7), (1, 128, 16), (5, 2, 2)]
+# (first block size, cap)
+SIZINGS = [(64, 128), (1, 1), (1, 128), (3, 7), (128, 16), (2, 2)]
 
 
 @pytest.mark.parametrize("sizing", SIZINGS, ids=lambda s: "-".join(map(str, s)))
 @pytest.mark.parametrize("name", ["closed-fixed", "open-variable", "closed-variable"])
 def test_chain_does_not_depend_on_block_sizing(name, sizing, references, monkeypatch):
     case, ref = references[name]
-    for constant, value in zip(("_RUN_FOR_BLOCKS", "_FIRST_BLOCK", "_BLOCK_CAP"), sizing):
+    for constant, value in zip(("_FIRST_BLOCK", "_BLOCK_CAP"), sizing):
         monkeypatch.setattr(rwm, constant, value)
     res, _ = run_case(case, monkeypatch)
     assert_same_chain(res, ref)
@@ -238,7 +238,7 @@ def scored_rows(monkeypatch):
     """Record each block of a variable-k chain's state and the rows that
     reach log_posterior_batch, as (block, landmarks); returns the lists."""
     states, rows = [], []
-    build, batch = rjmcmc._jump_block, rwm.log_posterior_batch
+    build, batch = rwm._block_proposals, rwm.log_posterior_batch
 
     def recording_build(theta, *args):
         states.append(theta)
@@ -248,7 +248,7 @@ def scored_rows(monkeypatch):
         rows.extend((len(states) - 1, tuple(th[:k])) for th, k in zip(thetas.tolist(), ks.tolist()))
         return batch(sample, thetas, spec, ks=ks, **kwargs)
 
-    monkeypatch.setattr(rjmcmc, "_jump_block", recording_build)
+    monkeypatch.setattr(rwm, "_block_proposals", recording_build)
     monkeypatch.setattr(rwm, "log_posterior_batch", recording_batch)
     return states, rows
 

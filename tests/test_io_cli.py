@@ -68,6 +68,13 @@ class TestCurveCsv:
         p.write_text("0.0,0.0\n0.5,0.2\n1.0,0.0\n")
         assert load_curve_csv(str(p)).shape == (3, 2)
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # spreadsheet tools start a UTF-8 file with a BOM, which must not make
+        # the first point of a headerless file look like a header
+        p = tmp_path / "bom.csv"
+        p.write_text("0.0,0.0\n0.5,0.2\n1.0,0.0\n1.5,0.1\n", encoding="utf-8-sig")
+        assert load_curve_csv(str(p)).tolist() == [[0.0, 0.0], [0.5, 0.2], [1.0, 0.0], [1.5, 0.1]]
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n0.0,0.0\n0.5,oops\n1.0,0.0\n")

@@ -205,6 +205,23 @@ class TestRunChain:
         with pytest.raises(RuntimeError, match="could not find an initial state"):
             cm.run_chain(sample, cm.ModelSpec(n_eval=16), cm.ChainConfig(n_iter=1000), k=70)
 
+    @pytest.mark.parametrize("topology, k", [(cm.OPEN, 0), (cm.CLOSED, 2)])
+    @pytest.mark.parametrize("run", [
+        lambda sample, spec, cfg, k: cm.run_chain(sample, spec, cfg, k=k),
+        lambda sample, spec, cfg, k: cm.distance_criterion(sample, spec, [k, k + 1], cfg),
+    ], ids=["run_chain", "distance_criterion"])
+    def test_count_below_the_minimum_raises(self, topology, k, run):
+        # named at once, not after 100 prior draws without a finite posterior
+        if topology == cm.OPEN:
+            sample = polyline_sample()
+        else:
+            curve = cm.rescale_unit_length(cm.cut_half_circle(200, cut=0.3), 25)
+            sample = cm.CurveSample.build([curve], cm.EvaluationGrid(25, topology))
+        spec = cm.ModelSpec(n_eval=25, topology=topology)
+        below = f"^k={k} is below the {topology}-curve minimum, {cm.k_min_for(topology)}$"
+        with pytest.raises(ValueError, match=below):
+            run(sample, spec, cm.ChainConfig(n_iter=1000), k)
+
     @pytest.mark.parametrize("spec", [cm.ModelSpec(n_eval=400, lam=1.0),
                                       cm.ModelSpec(n_eval=25, topology=cm.CLOSED, lam=1.0)])
     @pytest.mark.parametrize("run", [

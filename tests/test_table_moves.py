@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvemark as cm
-from curvemark import rjmcmc
+from curvemark import rjmcmc, rwm
 
 K_MAX = 12
 MOVE_PROBS = [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), (0.2, 0.3, 0.5)]
@@ -70,9 +70,12 @@ def test_block_rows_are_the_public_proposals(case):
     sd = math.sqrt(var)
     pb, pd, _ = rjmcmc.move_probabilities(theta.size, cm.k_min_for(topology), move_probs)
     moves = (block[:, 0] >= pb).astype(np.intp) + (block[:, 0] >= pb + pd)
-    rows, ks, ratios = rjmcmc._jump_block(theta, block, moves, sd, topology, move_probs)
+    closed = topology == cm.CLOSED
+    ratio_b, ratio_d = rjmcmc._moves(theta.size, topology, move_probs)[2:]
+    rows, ks, ratios = rwm._block_proposals(theta, block, moves, sd, closed, ratio_b, ratio_d)
     assert rows.shape == (theta.size + 1, len(block))
-    stays = rjmcmc._jump_block(theta, block, np.full(len(block), 2), sd, topology, move_probs)
+    stays = rwm._block_proposals(theta, block, np.full(len(block), 2), sd, closed,
+                                 -math.inf, -math.inf)
     for i, row in enumerate(block.tolist()):
         prop, log_ratio = public_move(theta, row, spec, var, move_probs)
         assert ks[i] == prop.size and ratios[i] == log_ratio
