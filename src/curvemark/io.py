@@ -106,17 +106,30 @@ _FITS = {
 }
 
 
-def load_curve_csv(path: str) -> np.ndarray:
-    """Read one curve from CSV: one row per sample, columns x,y, header
-    optional; empty cells after a row's last value are ignored.  Values
-    must be finite.  Errors name the offending file and row.  A UTF-8 byte
-    order mark, as spreadsheet tools write, is skipped."""
-    rows: list[list[float]] = []
+@contextlib.contextmanager
+def _open_text(path: str):
+    """Open a CSV input as UTF-8 text, skipping a byte order mark; an OS
+    error, or bytes that are not UTF-8, become an :class:`InputError`
+    naming ``path``."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
+
+
+def load_curve_csv(path: str) -> np.ndarray:
+    """Read one curve from CSV: one row per sample, columns x,y, header
+    optional; empty cells after a row's last value are ignored.  Values
+    must be finite.  Errors name the offending file and row, or only the
+    file if it is not UTF-8 text.  A UTF-8 byte order mark, as spreadsheet
+    tools write, is skipped."""
+    rows: list[list[float]] = []
+    with _open_text(path) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             cells = [c.strip() for c in row]
             while cells and not cells[-1]:
@@ -232,18 +245,15 @@ def read_samples_csv(path: str, topology: str | None = None) -> PosteriorSampleS
     ``topology``, open by default.  Every row must have the header's cell
     count, a finite log posterior and landmarks in the topology's support
     (:func:`~curvemark.reconstruct.theta_is_valid`); closed rows may be
-    stored in any cyclic rotation, as label alignment leaves them.  Errors
-    name the file and row.
+    stored in any cyclic rotation, as label alignment leaves them.  The
+    table is read as UTF-8, a byte order mark skipped.  Errors name the
+    file and row, or only the file if it is not UTF-8 text.
     """
     thetas: list[list[float]] = []
     ks: list[int] = []
     log_post: list[float] = []
     linenos = array("l")
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    with fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         tagged = header[-1:] == ["topology"]
@@ -319,12 +329,12 @@ def persist_results(
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
+        # the rows csv.writer would write, \r\n line ends included
+        row = f"{_FLOAT_FMT},{_FLOAT_FMT}\r\n"
         for j, (grid, dens) in (densities or {}).items():
             path = os.path.join(out_dir, f"density_{j + 1}.csv")
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "density"])
-                for t, d in zip(grid, dens):
-                    writer.writerow([_fmt(t), _fmt(d)])
+                fh.write("t,density\r\n" + "".join(
+                    row % td for td in zip(grid.tolist(), dens.tolist())))
             written.append(path)
     return written

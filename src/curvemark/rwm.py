@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,26 +227,37 @@ def rwm_step(
 
 
 # Blocks along the rejection path: a chain whose last proposal was
-# rejected, and that has accepted at most
-# _BLOCK_ACCEPT_RATE of its iterations so far, scores its next proposals in
-# blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, its mean run of
-# rejections so far), remaining iterations).  A block's build, batched call
-# and decision cost about 150 us at 1 row plus about 2 us per further row
-# up to 128 (one open curve, N = 100, k = 4, 2-vCPU x86; up to 1.5x that
-# inside a chain), a scalar step 40-60 us.  Without the acceptance gate,
-# chains accepting 9-43% ran 1.1-2.6x slower (sine, N=25, k=2).  Sizing
-# the first block by the mean run ran the paper's RJMCMC run (0.3%
-# acceptance) 3-6% faster than 64 rows; a flat 128 rows ran chains
-# accepting 2.7-4.8% up to 1.33x slower.  A batched score decides a row
-# only when it rejects by at least _MARGIN * (1 + |score|) in log units (as
-# -inf does), far above the rounding by which it differs from the scalar
-# log posterior; every other row is scored again by the scalar one.  The
-# batched engine's temporaries grow with rows times curves, so a sample of
-# M curves caps blocks at _BLOCK_CURVE_ROWS // M rows, the engine's own
-# chunk (model._CURVE_ROWS), to keep them on the heap (M = 5, N = 1000: a
-# 128-row call took 118 page faults, 64 rows none).
+# rejected, and whose last _WINDOW iterations (all of them, before the
+# first _WINDOW) accepted at most a level of min(_BLOCK_LEVEL_CAP,
+# _BLOCK_ACCEPT_RATE * M) of them for a sample of M curves, scores its next
+# proposals in blocks of min(_BLOCK_CAP, max(_FIRST_BLOCK, 2 * run, the
+# window's mean run of rejections), remaining iterations).  A window, not
+# the rate since the start, because a burn-in that accepts often kept the
+# cumulative rate above the level long after the chain settled: the
+# closed-family run (M = 5, N = 1000, 4,000 iterations, seeds 1-3, 5, 6)
+# made 426-810 scalar log-posterior calls, 69-122 under the window, and
+# the paper's sine run (10^5 iterations) took 2.2-2.4 s of CPU on seed 2
+# against 0.37-0.52 s on seeds 1, 3 and 4 (1.2-1.3 s under the window).
+# The level grows with M because a lone step scores the M curves one after
+# another (one scalar log posterior: 25 us at M = 1, 61 us at M = 5,
+# N = 1000, 2-vCPU x86) while a batched call's fixed cost barely does
+# (106 us at M = 1, 113 us at M = 5, plus 1.3-2.7 us per row); at M = 1 a
+# level of 0.1 ran a chain accepting 13% (sine, N = 25, k = 2) 1.05x
+# slower.  Sizing the first block by the mean run ran the paper's RJMCMC
+# run (0.3% acceptance) 3-6% faster than 64 rows; a flat 128 rows ran
+# chains accepting 2.7-4.8% up to 1.33x slower, and 64-row first blocks
+# ran a closed chain accepting 16% (M = 5, N = 32) 1.3x slower than 16-row
+# ones.  A batched score decides a row only when it rejects by at least
+# _MARGIN * (1 + |score|) in log units (as -inf does), far above the
+# rounding by which it differs from the scalar log posterior; every other
+# row is scored again by the scalar one.  The batched engine's temporaries grow with rows
+# times curves, so a sample of M curves caps blocks at _BLOCK_CURVE_ROWS //
+# M rows, the engine's own chunk (model._CURVE_ROWS), to keep them on the
+# heap (M = 5, N = 1000: a 128-row call took 118 page faults, 64 rows none).
 _BLOCK_ACCEPT_RATE = 0.05
-_FIRST_BLOCK = 64
+_BLOCK_LEVEL_CAP = 0.25
+_WINDOW = 2000
+_FIRST_BLOCK = 16
 _BLOCK_CAP = 128
 _MARGIN = 1e-9
 # the move kinds, in the order of ChainConfig.move_probs
@@ -275,14 +287,16 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, moves, jumps):
 
     The chain advances by slices of the table, each walked through the
     moves in chain order up to its first accept, one public move call
-    per iteration.  A rejected proposal leaves the state unchanged, so in
-    rejection-heavy stretches a slice is a block of B rows whose
-    proposals are built as if every one were rejected and scored in one
-    batched call (Brockwell 2006, pre-fetching along the rejection path);
-    a row keeps its batched score where that rejects by a clear margin.
-    Elsewhere a slice is one row, which is not batch-scored.  Every other
-    proposal is scored by the scalar log posterior, so the chain is the
-    one-at-a-time chain, draw for draw, log posteriors included.  A state
+    per iteration.  A rejected proposal leaves the state unchanged, so
+    after a rejection, while the last ``_WINDOW`` iterations accepted at
+    most ``min(_BLOCK_LEVEL_CAP, _BLOCK_ACCEPT_RATE * M)`` of them (M
+    curves), a slice is a block of B rows whose proposals are built as if
+    every one were rejected and scored in one batched call (Brockwell
+    2006, pre-fetching along the rejection path); a row keeps its batched
+    score where that rejects by a clear margin.  Elsewhere a slice is one
+    row, which is not batch-scored.  Every other proposal is scored by
+    the scalar log posterior, so the chain is the one-at-a-time chain,
+    draw for draw, log posteriors included, whatever the blocks.  A state
     has at most k distinct death proposals, so their batched scores are
     kept until the state changes.
     """
@@ -337,9 +351,21 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, moves, jumps):
     table = np.empty((0, 4))
     base = run = t = 0
     due = cfg.burn_in  # the next iteration whose end state is retained
+    level = min(_BLOCK_LEVEL_CAP, _BLOCK_ACCEPT_RATE * sample.m)
+    recent = deque()  # the iterations among the last _WINDOW that accepted
+    shut = 0  # the gate stays shut before this iteration
     while t < cfg.n_iter:
-        gated = run > 0 and sum(accepts) <= _BLOCK_ACCEPT_RATE * t
-        size = min(cap, max(_FIRST_BLOCK, 2 * run, t // (sum(accepts) + 1)),
+        gated = False
+        if run and t >= shut:  # after a rejection, unless the gate must be shut
+            window = min(t, _WINDOW)
+            while recent and recent[0] < t - window:
+                recent.popleft()
+            excess = len(recent) - level * window
+            gated = excess <= 0
+            # an iteration moves at most one accept out of the window and
+            # raises level * window by at most level
+            shut = t + excess / (1.0 + level)
+        size = min(cap, max(_FIRST_BLOCK, 2 * run, window // (len(recent) + 1)),
                    cfg.n_iter - t) if gated else 1
         while base + len(table) < t + size:  # drop the rows before t, draw the next chunk
             chunk = _random_table(rng, min(_TABLE_ROWS, cfg.n_iter - base - len(table)))
@@ -373,6 +399,7 @@ def _sample_chain(sample, spec, cfg, prior_only, draw_prior, moves, jumps):
                     theta, logp, acc = _decide(theta, logp, prop, lp, log_ratio, row[2])
             if acc:
                 accepts[move] += 1
+                recent.append(t + n - 1)
                 break
         t += n
         run = 0 if acc else run + n

@@ -107,11 +107,71 @@ def test_cases_cover_both_regimes(references, monkeypatch):
     # a rejection-heavy chain runs almost wholly in blocks, one that mixes
     # runs of rejections with accepts partly ...
     assert shares["open-variable"] > 0.9
-    assert 0.2 < shares["closed-fixed"] < 0.9
+    assert shares["closed-fixed"] > 0.9
+    assert 0.2 < shares["open-fixed"] < 0.9
     # ... and chains that accept often step one at a time
     assert rates["open-variable-prior"] > 0.5
     assert rates["open-fixed-prior"] > 0.5
     assert shares["open-variable-prior"] == shares["open-fixed-prior"] == 0.0
+
+
+def gate_run(sample, k, monkeypatch, **cfg):
+    """Run a fixed-k chain; returns its sample set, each iteration's accept
+    flag and, per batched call, the iteration it was made at."""
+    flags, batched_at = [], []
+    step, batch = rwm.rwm_step, rwm.log_posterior_batch
+
+    def recorded_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        flags.append(out[2])
+        return out
+
+    def recorded_batch(*args, **kwargs):
+        batched_at.append(len(flags))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(rwm, "rwm_step", recorded_step)
+    monkeypatch.setattr(rwm, "log_posterior_batch", recorded_batch)
+    spec = cm.ModelSpec(n_eval=sample.grid.n_eval, topology=sample.grid.topology,
+                        b=cfg.pop("b", 0.01))
+    res = cm.run_chain(sample, spec, cm.ChainConfig(thin=7, **cfg), k=k)
+    monkeypatch.undo()
+    return res, flags, batched_at
+
+
+def test_block_level_grows_with_the_curve_count(monkeypatch):
+    # a lone step scores the M curves one after another, a block's fixed
+    # cost barely grows with M: at 16% acceptance five curves run in
+    # blocks, one curve step by step
+    cuts = {5: (0.2, 0.3, 0.4, 0.5, 0.6), 1: (0.3,)}
+    calls = {}
+    for m, proposal_var in [(5, 0.002), (1, 0.1)]:
+        curves = [cm.rescale_unit_length(cm.cut_half_circle(240, cut=c), 240) for c in cuts[m]]
+        sample = cm.CurveSample.build(curves, cm.EvaluationGrid(32, cm.CLOSED))
+        res, _, batched_at = gate_run(sample, 3, monkeypatch, n_iter=3000, seed=1,
+                                      proposal_var=proposal_var, b=1.0)
+        assert 0.15 < res.accept_rate < 0.17
+        calls[m] = len(batched_at)
+    assert calls[5] > 200
+    assert calls[1] == 0
+
+
+def test_blocks_open_on_the_recent_window(monkeypatch):
+    # the burn-in accepts about 28% of its first 1,750 iterations and the
+    # chain about 1.5% thereafter: blocks open once the last _WINDOW
+    # iterations accept at most 5%, while the rate since the start is
+    # still above it
+    sample, spec, cfg, k, _, _ = rwm_case(
+        sine_sample(100), 4, n_iter=6000, seed=3, proposal_var=0.002)
+    res, flags, batched_at = gate_run(sample, k, monkeypatch, n_iter=6000, seed=3,
+                                      proposal_var=0.002)
+    assert_same_chain(res, oracles.one_at_a_time_chain(sample, spec, cfg, k=k))
+    assert res.accept_rate > 0.05
+    window = rwm._WINDOW
+    late = [t for t in batched_at if t > window and sum(flags[:t]) > 0.05 * t]
+    assert len(late) > 20
+    for t in late:
+        assert sum(flags[t - window : t]) <= 0.05 * window
 
 
 @pytest.mark.parametrize("cap", [2, 7, rwm._BLOCK_CAP])

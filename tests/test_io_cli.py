@@ -1,7 +1,11 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +78,15 @@ class TestCurveCsv:
         p = tmp_path / "bom.csv"
         p.write_text("0.0,0.0\n0.5,0.2\n1.0,0.0\n1.5,0.1\n", encoding="utf-8-sig")
         assert load_curve_csv(str(p)).tolist() == [[0.0, 0.0], [0.5, 0.2], [1.0, 0.0], [1.5, 0.1]]
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"x,y\n0.0,0.0\n0.5,0.\xff2\n1.0,0.0\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{p}: not UTF-8 text")):
+            load_curve_csv(str(p))
+        assert main(["run-fixed", "--curves", str(p), "--k", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: not UTF-8 text\n"
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -259,6 +272,35 @@ class TestSamplesPersistence:
         assert main(["summarize", "--samples", path, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
+    def test_table_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"iteration,k,theta_1,theta_2,log_post\n"
+                         b"0,2,0.2,0.5,-1.0\n1,2,0.2,0.\xff5,-1.0\n")
+        with pytest.raises(cm.InputError, match=re.escape(f"{path}: not UTF-8 text")):
+            cm.read_samples_csv(str(path))
+        assert main(["summarize", "--samples", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
+    def test_byte_order_marked_table_read_whatever_the_locale(self, tmp_path, rng):
+        # a spreadsheet tool's table starts with a UTF-8 byte order mark; it
+        # reads back the same, in a process whose locale encoding is ASCII too
+        ss = self._samples(rng, topology=cm.CLOSED)
+        path = tmp_path / "samples.csv"
+        write_samples_csv(str(path), ss)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = cm.read_samples_csv(str(path))
+        assert back.topology == cm.CLOSED and np.array_equal(back.thetas, ss.thetas)
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(cm.__file__)))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH"))
+                                              if p))
+        code = ("import sys, curvemark as cm\n"
+                "print(cm.read_samples_csv(sys.argv[1]).thetas.tolist())\n")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"{ss.thetas.tolist()}\n"
+
     def test_closed_rows_any_rotation_of_the_support(self, tmp_path, monkeypatch):
         # two rows per check, so the bad row is found in a later chunk
         monkeypatch.setattr(cm.io, "_CHECK_ROWS", 2)
@@ -327,6 +369,17 @@ class TestSamplesPersistence:
         assert record["config"] == cfg.to_dict()
         assert record["config"]["seed"] == 123
         assert record["mean"] == summary["mean"]
+
+    def test_density_files_as_csv_writer_writes_them(self, tmp_path, rng):
+        grid = np.linspace(0.0, 1.0, 7)
+        dens = np.array([0.0, 1e-300, 0.1, 2.5, 1.0 / 3.0, 5e-324, 0.0])
+        out = tmp_path / "res"
+        cm.persist_results(self._samples(rng), {}, str(out), densities={0: (grid, dens)})
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", "density"])
+        writer.writerows([f"{t:.17g}", f"{d:.17g}"] for t, d in zip(grid, dens))
+        assert (out / "density_1.csv").read_bytes() == want.getvalue().encode()
 
     def test_non_finite_summary_writes_nothing(self, tmp_path, rng):
         # the summary is serialized before any file is opened, so no

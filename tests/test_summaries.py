@@ -117,6 +117,17 @@ class TestMarginalDensity:
         bw = max(0.9 * min(float(np.std(x, ddof=1)), iqr / 1.34) * x.size ** (-0.2), 1e-3)
         assert np.array_equal(dens, oracles.kde_direct(x, bw, topology))
 
+    @pytest.mark.parametrize("topology", [cm.OPEN, cm.CLOSED])
+    def test_nodes_far_from_the_data_equal_one_matrix(self, rng, topology):
+        # a bandwidth of 1e-3 leaves most grid nodes more than 40 bandwidths
+        # from every datum; closed data near 0 reach the nodes near 1 too
+        near_0 = np.abs(rng.normal(0.0, 2e-4, 200)) + 1e-6
+        for vals in (near_0, 1.0 - near_0, np.full(100, 0.42)):
+            ss = sample_set([[v] for v in vals], topology)
+            _, dens = cm.marginal_density(ss, 0)
+            assert np.count_nonzero(dens) < 128
+            assert np.array_equal(dens, oracles.kde_direct(vals, 1e-3, topology))
+
     def test_memory_bounded_on_many_draws(self, rng):
         import tracemalloc
 

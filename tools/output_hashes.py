@@ -7,8 +7,11 @@ Runs, in a temporary directory and for each seed, the README commands:
 directory of its own.  Then a closed ``run-fixed`` and a closed
 ``run-rjmcmc`` (lambda 2) on two ``cut-half-circle`` outlines at 64
 evaluation points and 4,000 iterations, which take the start alignment,
-the label alignment and the closed block path.  Each command writes under
-``<seed>/<command>/``.
+the label alignment and the closed block path, and ``closed-family``, a
+closed ``run-fixed`` (k 4, 4,000 iterations, thin 20) on five outlines of
+400 points, a ``half-circle`` and ``cut-half-circle`` at cuts 0.2, 0.3, 0.4
+and 0.5, at 1,000 evaluation points, which takes the block level of five
+curves.  Each command writes under ``<seed>/<command>/``.
 One line per output file, ``sha256  relative-path``, sorted by path, so a
 refactor that keeps seeded outputs byte-identical shows as an empty diff:
 
@@ -38,6 +41,8 @@ def commands(seed: int) -> list[list[str]]:
     cuts = {c: os.path.join(d, f"cut_{c}.csv") for c in ("0.3", "0.5")}
     closed = ["--curves", *cuts.values(), "--topology", "closed", "--n-eval", "64",
               "--n-iter", "4000", "--thin", "10", *s]
+    half = os.path.join(d, "family_half.csv")
+    family = {c: os.path.join(d, f"family_{c}.csv") for c in ("0.2", "0.3", "0.4", "0.5")}
     return [
         ["generate", "--name", "sine", "--n", "200", "--out", sine],
         ["run-fixed", "--curves", sine, "--k", "4", "--n-eval", "200", *s,
@@ -52,6 +57,12 @@ def commands(seed: int) -> list[list[str]]:
           for c, path in cuts.items()),
         ["run-fixed", *closed, "--k", "4", "--out-dir", os.path.join(d, "closed-fixed")],
         ["run-rjmcmc", *closed, "--lam", "2", "--out-dir", os.path.join(d, "closed-rjmcmc")],
+        ["generate", "--name", "half-circle", "--n", "400", "--out", half],
+        *(["generate", "--name", "cut-half-circle", "--cut", c, "--n", "400", "--out", path]
+          for c, path in family.items()),
+        ["run-fixed", "--curves", half, *family.values(), "--topology", "closed", "--k", "4",
+         "--n-eval", "1000", "--n-iter", "4000", "--thin", "20", *s,
+         "--out-dir", os.path.join(d, "closed-family")],
     ]
 
 
