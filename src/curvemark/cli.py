@@ -207,11 +207,9 @@ def cmd_generate(args) -> int:
         write_curve_csv(args.out, curves[0])
         print(f"wrote: {args.out}")
     else:
-        base, dot, ext = args.out.rpartition(".")
-        stem = base if dot else args.out
-        ext = f".{ext}" if dot else ".csv"
+        stem, ext = os.path.splitext(args.out)
         for i, curve in enumerate(curves, start=1):
-            path = f"{stem}_{i}{ext}"
+            path = f"{stem}_{i}{ext or '.csv'}"
             write_curve_csv(path, curve)
             print(f"wrote: {path}")
     return 0

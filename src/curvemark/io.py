@@ -26,10 +26,16 @@ class InputError(ValueError):
 
 # 17 significant digits round-trips an IEEE double exactly
 _FLOAT_FMT = "%.17g"
+_PAIR_FMT = f"{_FLOAT_FMT},{_FLOAT_FMT}"
 
 
-def _fmt(v: float) -> str:
-    return _FLOAT_FMT % v
+def _write_csv(path: str, header: list[str], lines) -> None:
+    r"""Write the ``header`` names, then stream each preformatted row of
+    ``lines``, every line ended by ``\r\n``: the bytes :func:`csv.writer`
+    writes, as no cell here (a number, empty, or a topology) needs quotes."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 @dataclass
@@ -176,30 +182,25 @@ def load_curves(paths, topology: str, n_eval: int) -> CurveSample:
 
 
 def write_curve_csv(path: str, curve: PlanarCurve) -> None:
-    """Write one curve as CSV with an ``x,y`` header; an OS error becomes
-    an :class:`InputError` naming ``path``."""
+    """Write one curve as CSV, an ``x,y`` header and a row per point; an OS
+    error becomes an :class:`InputError` naming ``path``."""
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in curve.points:
-                writer.writerow([_fmt(x), _fmt(y)])
+        _write_csv(path, ["x", "y"], (_PAIR_FMT % (x, y) for x, y in curve.points.tolist()))
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def write_samples_csv(path: str, samples: PosteriorSampleSet) -> None:
     """Chain table: iteration, k, theta_1..theta_kmax, log_post, topology.
-    Rows with fewer landmarks than the widest leave trailing cells empty."""
+    Rows with fewer landmarks than the widest leave trailing cells empty;
+    each row is one ``%`` format, that of its landmark count."""
     k_max = int(samples.ks.max()) if samples.n else 0
-    header = ["iteration", "k"] + [f"theta_{j + 1}" for j in range(k_max)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["log_post", "topology"])
-        rows = zip(samples.thetas.tolist(), samples.ks.tolist(), samples.log_post.tolist())
-        for i, (th, k, lp) in enumerate(rows):
-            cells = [str(i), str(k)] + [_fmt(v) for v in th[:k]] + [""] * (k_max - k)
-            writer.writerow(cells + [_fmt(lp), samples.topology])
+    header = ["iteration", "k", *(f"theta_{j + 1}" for j in range(k_max)), "log_post", "topology"]
+    row = {k: ",".join(["%d", "%d", *[_FLOAT_FMT] * k, *[""] * (k_max - k),
+                        _FLOAT_FMT, samples.topology])
+           for k in range(1, k_max + 1)}
+    rows = zip(samples.thetas.tolist(), samples.ks.tolist(), samples.log_post.tolist())
+    _write_csv(path, header, (row[k] % (i, k, *th[:k], lp) for i, (th, k, lp) in enumerate(rows)))
 
 
 @contextlib.contextmanager
@@ -217,11 +218,8 @@ def write_dk2_csv(out_dir: str, table: list[tuple[int, float]]) -> str:
     """Write the distance-criterion table ``dk2.csv`` into ``out_dir``, one
     ``k,dk2`` row per landmark count; returns its path."""
     path = os.path.join(out_dir, "dk2.csv")
-    with _results_dir(out_dir), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "dk2"])
-        for k, d in table:
-            writer.writerow([str(k), _fmt(d)])
+    with _results_dir(out_dir):
+        _write_csv(path, ["k", "dk2"], (f"%d,{_FLOAT_FMT}" % (k, d) for k, d in table))
     return path
 
 
@@ -329,12 +327,9 @@ def persist_results(
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
-        # the rows csv.writer would write, \r\n line ends included
-        row = f"{_FLOAT_FMT},{_FLOAT_FMT}\r\n"
         for j, (grid, dens) in (densities or {}).items():
             path = os.path.join(out_dir, f"density_{j + 1}.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write("t,density\r\n" + "".join(
-                    row % td for td in zip(grid.tolist(), dens.tolist())))
+            _write_csv(path, ["t", "density"],
+                       (_PAIR_FMT % td for td in zip(grid.tolist(), dens.tolist())))
             written.append(path)
     return written

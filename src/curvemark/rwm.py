@@ -41,6 +41,8 @@ class ChainConfig:
             raise ValueError("burn_in_frac leaves no iteration after the burn-in")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if not 0.0 < self.proposal_var < math.inf:
             raise ValueError(f"proposal_var must be positive and finite, not {self.proposal_var}")
         p = np.asarray(self.move_probs, dtype=float)

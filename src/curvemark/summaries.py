@@ -83,7 +83,8 @@ def summarize(samples: PosteriorSampleSet) -> dict:
 
 def marginal_density(samples: PosteriorSampleSet, component: int, n_grid: int = 512):
     """Gaussian kernel density estimate of one landmark's marginal on a
-    uniform grid over [0, 1], Silverman bandwidth.
+    uniform grid over [0, 1], Silverman bandwidth; a closed landmark's
+    draws are unwrapped around their circular mean to take it.
 
     Boundary mass is handled by reflection for open curves and by wrapping
     for closed ones, so the estimate integrates to 1 on [0, 1].
@@ -93,8 +94,9 @@ def marginal_density(samples: PosteriorSampleSet, component: int, n_grid: int = 
     n = x.size
     if n < 50:
         raise ValueError("need at least 50 samples for a density estimate")
-    sd = float(np.std(x, ddof=1))
-    q75, q25 = _quantiles(x, (0.75, 0.25))
+    u = x - np.round(x - _circular_mean(x)) if samples.topology == CLOSED else x
+    sd = float(np.std(u, ddof=1))
+    q75, q25 = _quantiles(u, (0.75, 0.25))
     iqr = q75 - q25
     scales = [s for s in (sd, iqr / 1.34) if s > 0.0]
     bw = 0.9 * min(scales) * n ** (-0.2) if scales else 1e-3

@@ -12,7 +12,7 @@ import pytest
 
 import curvemark as cm
 from curvemark.cli import main
-from curvemark.io import load_curve_csv, write_curve_csv, write_samples_csv
+from curvemark.io import load_curve_csv, write_curve_csv, write_dk2_csv, write_samples_csv
 
 
 def write_sine_csv(path, n=200):
@@ -370,16 +370,39 @@ class TestSamplesPersistence:
         assert record["config"]["seed"] == 123
         assert record["mean"] == summary["mean"]
 
-    def test_density_files_as_csv_writer_writes_them(self, tmp_path, rng):
-        grid = np.linspace(0.0, 1.0, 7)
-        dens = np.array([0.0, 1e-300, 0.1, 2.5, 1.0 / 3.0, 5e-324, 0.0])
-        out = tmp_path / "res"
-        cm.persist_results(self._samples(rng), {}, str(out), densities={0: (grid, dens)})
+    @pytest.mark.parametrize("table", ["samples", "curve", "dk2", "density"])
+    def test_tables_as_csv_writer_writes_them(self, tmp_path, rng, table):
+        def g(v):
+            return f"{v:.17g}"
+
+        if table == "samples":
+            # mixed k on a closed curve: shorter rows end in empty cells
+            ss = self._samples(rng, True, cm.CLOSED)
+            path, k_max = tmp_path / "samples.csv", int(ss.ks.max())
+            assert ss.ks.min() < k_max
+            write_samples_csv(str(path), ss)
+            rows = [["iteration", "k", *(f"theta_{j + 1}" for j in range(k_max)),
+                     "log_post", "topology"]]
+            rows += [[str(i), str(k), *map(g, th[:k]), *[""] * (k_max - k), g(lp), "closed"]
+                     for i, (th, k, lp) in enumerate(zip(ss.thetas, ss.ks, ss.log_post))]
+        elif table == "curve":
+            curve, path = cm.sine_curve(50), tmp_path / "curve.csv"
+            write_curve_csv(str(path), curve)
+            rows = [["x", "y"], *([g(x), g(y)] for x, y in curve.points)]
+        elif table == "dk2":
+            dk2 = [(1, 0.5), (2, 1e-300), (3, 1.0 / 3.0), (4, 5e-324)]
+            path = tmp_path / "dk2.csv"
+            assert write_dk2_csv(str(tmp_path), dk2) == str(path)
+            rows = [["k", "dk2"], *([str(k), g(d)] for k, d in dk2)]
+        else:
+            grid = np.linspace(0.0, 1.0, 7)
+            dens = np.array([0.0, 1e-300, 0.1, 2.5, 1.0 / 3.0, 5e-324, 0.0])
+            path = tmp_path / "density_1.csv"
+            cm.persist_results(self._samples(rng), {}, str(tmp_path), densities={0: (grid, dens)})
+            rows = [["t", "density"], *([g(t), g(d)] for t, d in zip(grid, dens))]
         want = io.StringIO(newline="")
-        writer = csv.writer(want)
-        writer.writerow(["t", "density"])
-        writer.writerows([f"{t:.17g}", f"{d:.17g}"] for t, d in zip(grid, dens))
-        assert (out / "density_1.csv").read_bytes() == want.getvalue().encode()
+        csv.writer(want).writerows(rows)
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_non_finite_summary_writes_nothing(self, tmp_path, rng):
         # the summary is serialized before any file is opened, so no
@@ -746,11 +769,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: failed writing results under {taken}")
 
     def test_generate_family_writes_suffixed_files(self, tmp_path):
-        out = str(tmp_path / "fam.csv")
-        rc = main(["generate", "--name", "scaled-sine-family", "--n", "60", "--out", out])
-        assert rc == 0
-        for i in range(1, 6):
-            assert os.path.exists(str(tmp_path / f"fam_{i}.csv"))
+        # a dot in a directory name is not the file's extension
+        (tmp_path / "run.v2").mkdir()
+        for out in ("fam.csv", os.path.join("run.v2", "fam")):
+            rc = main(["generate", "--name", "scaled-sine-family", "--n", "60",
+                       "--out", str(tmp_path / out)])
+            assert rc == 0
+            stem = os.path.splitext(out)[0]
+            for i in range(1, 6):
+                assert os.path.exists(str(tmp_path / f"{stem}_{i}.csv"))
 
     def test_generate_cut_on_a_curve_without_one_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -31,6 +31,10 @@ class TestRwmConfig:
         with pytest.raises(ValueError):
             cm.ChainConfig(proposal_var=0.0)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, not -1$"):
+            cm.ChainConfig(seed=-1)
+
     @pytest.mark.parametrize("field, value", [
         ("proposal_var", float("nan")),
         ("proposal_var", float("inf")),

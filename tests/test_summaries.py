@@ -128,6 +128,16 @@ class TestMarginalDensity:
             assert np.count_nonzero(dens) < 128
             assert np.array_equal(dens, oracles.kde_direct(vals, 1e-3, topology))
 
+    def test_closed_draws_straddling_zero_peak_as_high_as_shifted_ones(self, rng):
+        # the bandwidth comes from the draws' spread around t = 0, not from
+        # the raw values, which lie near both 0 and 1
+        vals = rng.normal(0.0, 0.02, 2000)
+        peaks = []
+        for shift in (0.0, 0.5):
+            ss = sample_set([[v] for v in np.mod(vals + shift, 1.0)], cm.CLOSED)
+            peaks.append(cm.marginal_density(ss, 0)[1].max())
+        assert peaks[0] == pytest.approx(peaks[1], rel=0.1)
+
     def test_memory_bounded_on_many_draws(self, rng):
         import tracemalloc
 

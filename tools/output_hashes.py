@@ -11,7 +11,9 @@ the label alignment and the closed block path, and ``closed-family``, a
 closed ``run-fixed`` (k 4, 4,000 iterations, thin 20) on five outlines of
 400 points, a ``half-circle`` and ``cut-half-circle`` at cuts 0.2, 0.3, 0.4
 and 0.5, at 1,000 evaluation points, which takes the block level of five
-curves.  Each command writes under ``<seed>/<command>/``.
+curves.  Last, ``generate`` of the ``scaled-sine-family``, the one generator
+that writes several files, ``scaled_<i>.csv``.  Each command writes under
+``<seed>/<command>/``.
 One line per output file, ``sha256  relative-path``, sorted by path, so a
 refactor that keeps seeded outputs byte-identical shows as an empty diff:
 
@@ -63,6 +65,8 @@ def commands(seed: int) -> list[list[str]]:
         ["run-fixed", "--curves", half, *family.values(), "--topology", "closed", "--k", "4",
          "--n-eval", "1000", "--n-iter", "4000", "--thin", "20", *s,
          "--out-dir", os.path.join(d, "closed-family")],
+        ["generate", "--name", "scaled-sine-family", "--n", "200",
+         "--out", os.path.join(d, "scaled.csv")],
     ]
 
 
